@@ -98,7 +98,3 @@ class CostModel:
             return False
         return self.projected_incremental_cost() > self.safety * self.full_remaining_cost()
 
-
-def offline_total_cost(n: int, q: int, eps: int, p: float) -> float:
-    """§5.2.3 right-hand side: q·n + df + ε·n + n + ε·p (df ≈ n for FDs)."""
-    return q * n + n + eps * n + n + eps * p

@@ -3,9 +3,9 @@
 ``DaisySession`` owns the (gradually cleaned) probabilistic tables, the
 rules, the precomputed group statistics, the theta-join cleaners for general
 DCs, and the §5.2.3 cost model.  ``execute`` runs one query of the §5
-template: it builds the cleaning-aware logical plan, applies the cleaning
-operators (:mod:`repro.core.operators`), updates the dataset in place, and
-returns the cleaned (probabilistic) query result.
+template: it builds the cleaning-aware logical plan, runs the cleaning
+operators the plan places (:mod:`repro.core.operators`), updates the
+dataset in place, and returns the cleaned (probabilistic) query result.
 
 Strategy switching (Figs 7/12): with the cost model enabled, after each
 query the session evaluates the incremental-vs-full inequality and, when it
@@ -20,7 +20,7 @@ no restart from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -28,8 +28,8 @@ from pyspark.sql import functions as F
 from repro.core import detect, operators, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.cost import CostModel, QueryCost
-from repro.core.planner import PlanOp, Query, build_plan, relevant_rules
-from repro.core.prob import TID, checked_col, ensure_cands, ensure_checked
+from repro.core.planner import Filter, PlanOp, Query, build_plan
+from repro.core.prob import TID, base_attrs, checked_col, ensure_cands, ensure_checked
 from repro.core.repair_dc import dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
@@ -138,17 +138,58 @@ class DaisySession:
         rules_by_table = {
             t: [fd for fd, _ in self.fd_rules[t]] + self.dc_rules[t] for t in self.tables
         }
-        return build_plan(q, rules_by_table, placement_by_table=placement)
+        columns = {t: base_attrs(df) for t, df in self.tables.items()}
+        return build_plan(
+            q, rules_by_table, placement_by_table=placement, columns_by_table=columns
+        )
 
     # ------------------------------------------------------------------ #
     def execute(self, q: Query) -> DataFrame:
-        """Run one query: clean what it touches, return the cleaned result."""
+        """Run one query: clean what its plan says, return the cleaned result.
+
+        Each input is filtered and cleaned under its ``after`` FD ops
+        (:func:`repro.core.operators.clean_side`; both inputs of a join via
+        ``clean_join``), then each ``clean_dc`` op runs on its table, and
+        the answer is the probabilistic query over the updated tables.
+        """
         t0 = time.time()
         rec = QueryRecord(0.0, 0, 0, 0)
+        ops = self.plan(q)
+        filters = {q.table: q.filters}
+        if q.join is not None:
+            filters[q.join.right_table] = q.join.right_filters
+        fds = {
+            t: [fd for fd, _w in self.fd_rules[t]
+                if PlanOp("clean_sigma", t, fd.name, "after") in ops]
+            for t in filters
+        }
         if q.join is None:
-            result = self._execute_sp(q, rec)
+            t = q.table
+            self.tables[t], st = operators.clean_side(
+                self.tables[t], q.filters, fds[t], self.fd_rules[t], self.stats[t],
+                relax_mode=self.relax_mode,
+            )
+            side_stats = {t: st}
         else:
-            result = self._execute_join(q, rec)
+            lt, rt = q.table, q.join.right_table
+            self.tables[lt], self.tables[rt], _joined, lst, rst = operators.clean_join(
+                self.tables[lt], self.tables[rt], q, fds[lt], fds[rt],
+                self.fd_rules[lt], self.fd_rules[rt], self.stats[lt], self.stats[rt],
+                relax_mode=self.relax_mode,
+            )
+            side_stats = {lt: lst, rt: rst}
+        for st in side_stats.values():
+            rec.answer += st.answer
+            rec.extras += st.extras
+            rec.repaired += st.repaired
+            rec.relax_iters = max(rec.relax_iters, st.relax_iters)
+        if not any(fds.values()):
+            rec.strategy = "clean" if q.table in self.fully_cleaned else "no-rule"
+        for o in ops:
+            if o.op == "clean_dc":
+                dc = self.theta[(o.table, o.rule)].dc
+                self._clean_dc(o.table, dc, filters[o.table], side_stats[o.table].answer, rec)
+        result = operators.run_query(self.tables, q)
         rec.seconds = time.time() - t0
         self.records.append(rec)
         # cost-model strategy decision (Figs 7/12)
@@ -166,96 +207,18 @@ class DaisySession:
         return result
 
     # ------------------------------------------------------------------ #
-    def _effective_attrs(self, q: Query, table: str, side: str = "left") -> set[str]:
-        """P ∪ W of §4.1; a query without a projection is SELECT * and
-        therefore accesses every attribute of the table."""
-        from repro.core.prob import base_attrs
+    def _clean_dc(
+        self, table: str, dc: DC, filters: list[Filter], answer: int, rec: QueryRecord
+    ) -> None:
+        """Incremental theta-join cleaning with the Alg. 2 accuracy gate.
 
-        attrs = q.attrs(side)
-        if side == "left" and q.project is None and not (q.group_by or q.aggs):
-            attrs = attrs | set(base_attrs(self.tables[table]))
-        return attrs
-
-    def _execute_sp(self, q: Query, rec: QueryRecord) -> DataFrame:
-        table = q.table
-        df = self.tables[table]
-        answer = operators.apply_filters(df, q.filters).localCheckpoint(eager=True)
-        fds = relevant_rules(
-            [r for r, _ in self.fd_rules[table]], self._effective_attrs(q, table)
-        )
-        if fds and table not in self.fully_cleaned:
-            updated, st = operators.clean_sigma(
-                df,
-                answer,
-                fds,
-                self.fd_rules[table],
-                self.stats[table],
-                q.filters,
-                relax_mode=self.relax_mode,
-            )
-            self.tables[table] = updated
-            rec.answer, rec.extras = st.answer, st.extras
-            rec.repaired, rec.relax_iters = st.repaired, st.relax_iters
-        else:
-            rec.answer = answer.count()
-            rec.strategy = "clean" if table in self.fully_cleaned else "no-rule"
-        dcs = relevant_rules(self.dc_rules[table], self._effective_attrs(q, table))
-        for dc in dcs:
-            self._clean_dc(table, dc, q, rec)
-        final = operators.apply_filters(self.tables[table], q.filters)
-        if q.group_by or q.aggs:
-            return operators.aggregate(final, q)
-        if q.project:
-            cols = []
-            for c in q.project:
-                cols.append(c)
-                from repro.core.prob import cands_col
-
-                if cands_col(c) in final.columns:
-                    cols.append(cands_col(c))
-            return final.select(TID, *cols)
-        return final
-
-    # ------------------------------------------------------------------ #
-    def _execute_join(self, q: Query, rec: QueryRecord) -> DataFrame:
-        lt, rt = q.table, q.join.right_table
-        lrules = relevant_rules(
-            [r for r, _ in self.fd_rules[lt]], self._effective_attrs(q, lt)
-        )
-        rrules = relevant_rules([r for r, _ in self.fd_rules[rt]], q.attrs("right"))
-        if lt in self.fully_cleaned:
-            lrules = []
-        if rt in self.fully_cleaned:
-            rrules = []
-        lupd, rupd, joined, lst, rst = operators.clean_join(
-            self.tables[lt],
-            self.tables[rt],
-            q,
-            lrules,
-            rrules,
-            self.fd_rules[lt],
-            self.fd_rules[rt],
-            self.stats[lt],
-            self.stats[rt],
-            relax_mode=self.relax_mode,
-        )
-        self.tables[lt] = lupd
-        self.tables[rt] = rupd
-        rec.answer = lst.answer + rst.answer
-        rec.extras = lst.extras + rst.extras
-        rec.repaired = lst.repaired + rst.repaired
-        rec.relax_iters = max(lst.relax_iters, rst.relax_iters)
-        if q.group_by or q.aggs:
-            return operators.aggregate(joined, q, prefix="l_")
-        return joined
-
-    # ------------------------------------------------------------------ #
-    def _clean_dc(self, table: str, dc: DC, q: Query, rec: QueryRecord) -> None:
-        """Incremental theta-join cleaning with the Alg. 2 accuracy gate."""
+        ``filters`` are the query's filters on ``table`` and ``answer`` the
+        size of their result.
+        """
         theta = self.theta[(table, dc.name)]
         xattr = theta.x
         buckets: set[int] = set()
-        for f in q.filters:
+        for f in filters:
             if f.attr != xattr:
                 continue
             if f.op == "between":
@@ -265,8 +228,7 @@ class DaisySession:
                 buckets.add(theta.bucket_of(float(f.value)))
         if not buckets:
             buckets = set(range(theta.nb))
-        answer_size = max(1, rec.answer)
-        acc, support = theta.accuracy(buckets, answer_size)
+        acc, support = theta.accuracy(buckets, max(1, answer))
         rec.dc_accuracy = acc
         if acc < self.accuracy_threshold:
             viol = theta.detect(None)  # full cleaning (Fig 10's 20% case)
@@ -283,47 +245,31 @@ class DaisySession:
 
     # ------------------------------------------------------------------ #
     def full_clean(self, table: str) -> None:
-        """Clean the remaining dirty part of ``table`` in one pass (§5.2.3).
+        """Clean the remaining FD-dirty part of ``table`` in one pass (§5.2.3).
 
         Only unchecked violating groups are repaired — the part already
         cleaned incrementally is not re-done (Fig 7: "cleaning is applied
-        over the remaining dirty part of the dataset").
+        over the remaining dirty part of the dataset").  DCs stay cleaned
+        per query: the plan places them after the filter on every table.
         """
         df = self.tables[table]
         rules = self.fd_rules[table]
         if rules:
-            dm = None
-            checked: dict[str, DataFrame] = {}
-            for fd, _w in rules:
-                stats = self.stats[table][fd.name]
-                dirty = stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
-                members = (
+            fds = [fd for fd, _w in rules]
+            todo = None
+            for fd in fds:
+                unchecked = (
                     df.where(~F.col(checked_col(fd.name)))
-                    .join(dirty, list(fd.lhs), "leftsemi")
+                    .join(detect.violating_groups(self.stats[table][fd.name], fd),
+                          list(fd.lhs), "leftsemi")
                     .select(TID)
-                    .withColumn("rule_name", F.lit(fd.name))
                 )
-                dm = members if dm is None else dm.unionByName(members)
-                checked[fd.name] = df.select(TID)
-            # re-merge with already-repaired rules: every dirty tuple is
-            # listed under every rule whose dirty groups contain it
-            aug = [dm]
-            dirty_tids = dm.select(TID).distinct()
-            for fd, _w in rules:
-                stats = self.stats[table][fd.name]
-                dirty = stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
-                aug.append(
-                    df.join(dirty_tids, TID, "leftsemi")
-                    .join(dirty, list(fd.lhs), "leftsemi")
-                    .select(TID)
-                    .withColumn("rule_name", F.lit(fd.name))
-                )
-            full_map = aug[0]
-            for a in aug[1:]:
-                full_map = full_map.unionByName(a)
-            fixes = repair.compute_repairs(df, rules, full_map.distinct())
-            df = update.apply_repairs(df, fixes, checked)
-            self.tables[table] = df
+                todo = unchecked if todo is None else todo.unionByName(unchecked)
+            full_map = detect.repair_map(df, todo, fds, self.stats[table])
+            fixes = repair.compute_repairs(df, rules, full_map)
+            self.tables[table] = update.apply_repairs(
+                df, fixes, {fd.name: df.select(TID) for fd in fds}
+            )
         self.fully_cleaned.add(table)
 
     # ------------------------------------------------------------------ #

@@ -64,13 +64,7 @@ def dirty_group_summary(stats: DataFrame) -> tuple[int, int, float]:
     return int(row["g"]), int(row["t"]), float(row["p"])
 
 
-def violating_complete_groups(
-    region: DataFrame,
-    fd: FD,
-    stats: DataFrame,
-    *,
-    only_unchecked: bool = True,
-) -> DataFrame:
+def violating_complete_groups(region: DataFrame, fd: FD, stats: DataFrame) -> DataFrame:
     """Violating lhs groups of ``region`` that are *fully contained* in it.
 
     Under Lemma-budget relaxation, extras pulled via an rhs match may carry
@@ -81,7 +75,7 @@ def violating_complete_groups(
     Returns the lhs-key frame of groups to repair now.
     """
     r = region
-    if only_unchecked and checked_col(fd.name) in region.columns:
+    if checked_col(fd.name) in region.columns:
         r = region.where(~F.col(checked_col(fd.name)))
     present = r.groupBy(*fd.lhs).agg(F.count("*").alias("__present"))
     joined = present.join(stats, list(fd.lhs))
@@ -110,7 +104,37 @@ def members_of(region: DataFrame, fd: FD, groups: DataFrame) -> DataFrame:
     return region.join(groups, list(fd.lhs), "leftsemi")
 
 
-def violating_tids(dataset: DataFrame, fd: FD, stats: DataFrame) -> DataFrame:
-    """Tids of all members of violating groups (offline scope)."""
-    dirty = stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
-    return dataset.join(dirty, list(fd.lhs), "leftsemi").select(TID)
+def violating_groups(stats: DataFrame, fd: FD) -> DataFrame:
+    """The lhs keys of the violating groups of ``fd`` (``n_rhs > 1``)."""
+    return stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
+
+
+def repair_map(
+    dataset: DataFrame,
+    tids: DataFrame | None,
+    fds: list[FD],
+    stats_by_rule: dict[str, DataFrame],
+    *,
+    checked: dict[str, DataFrame] | None = None,
+) -> DataFrame:
+    """The ``(TID, rule_name)`` pairs repair merges the worlds of (§4.3).
+
+    Each tid to repair (``tids``; ``None`` takes every tuple of ``dataset``)
+    is listed under every rule whose violating group contains it, so a
+    tuple repaired now re-merges the worlds of the rules it is already
+    known-dirty under.  With ``checked`` (rule name → tids whose group this
+    query examined), a tid is listed under a rule only if it was checked
+    under that rule, earlier (its flag in ``dataset``) or in this query.
+    """
+    todo = dataset if tids is None else dataset.join(tids, TID, "leftsemi")
+    out = None
+    for fd in fds:
+        pairs = todo.join(violating_groups(stats_by_rule[fd.name], fd), list(fd.lhs), "leftsemi")
+        if checked is not None:
+            eligible = dataset.where(F.col(checked_col(fd.name))).select(TID)
+            if fd.name in checked:
+                eligible = eligible.unionByName(checked[fd.name])
+            pairs = pairs.join(eligible, TID, "leftsemi")
+        pairs = pairs.select(TID).withColumn("rule_name", F.lit(fd.name))
+        out = pairs if out is None else out.unionByName(pairs)
+    return out

@@ -29,7 +29,7 @@ benchmarks include those query costs, as in §5.2.3's right-hand side.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -80,16 +80,7 @@ def offline_clean(
     if fds:
         # the full dirty map: every member of every violating group, listed
         # under every rule it is dirty under
-        dm = None
-        for fd in fds:
-            dirty = stats[fd.name].where(F.col("n_rhs") > 1).select(*fd.lhs)
-            members = (
-                out.join(dirty, list(fd.lhs), "leftsemi")
-                .select(TID)
-                .withColumn("rule_name", F.lit(fd.name))
-            )
-            dm = members if dm is None else dm.unionByName(members)
-        dm = dm.localCheckpoint(eager=True)
+        dm = detect.repair_map(out, None, fds, stats).localCheckpoint(eager=True)
         repaired = dm.select(TID).distinct().count()
         if mode == "vectorized":
             fixes = repair.compute_repairs(out, fd_worlds, dm)
@@ -104,7 +95,7 @@ def offline_clean(
             for fd in fds:
                 dirty_keys = [
                     tuple(r[a] for a in fd.lhs)
-                    for r in stats[fd.name].where(F.col("n_rhs") > 1).select(*fd.lhs).collect()
+                    for r in detect.violating_groups(stats[fd.name], fd).collect()
                 ]
                 for i in range(0, len(dirty_keys), batch_size):
                     if time_budget is not None and time.time() - t0 > time_budget:
@@ -118,11 +109,8 @@ def offline_clean(
                             c = F.col(a) == F.lit(v)
                             kc = c if kc is None else (kc & c)
                         cond = kc if cond is None else (cond | kc)
-                    members = out.where(cond).select(TID).withColumn(
-                        "rule_name", F.lit(fd.name)
-                    )
                     # cross-rule membership so merged worlds stay correct
-                    batch_map = dm.join(members.select(TID), TID, "leftsemi")
+                    batch_map = dm.join(out.where(cond).select(TID), TID, "leftsemi")
                     fix_frames.append(
                         repair.compute_repairs(out, fd_worlds, batch_map).localCheckpoint(
                             eager=True

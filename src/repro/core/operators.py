@@ -13,7 +13,7 @@ group-bys aggregate after cleaning on provenance grouping values).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 from repro.core import detect, relax, repair, update
 from repro.core.constraints import FD
 from repro.core.planner import Aggregate, Filter, Query, filter_side
-from repro.core.prob import TID, checked_col, prob_equijoin, qualifies
+from repro.core.prob import TID, cands_col, prob_equijoin, qualifies
 
 
 @dataclass
@@ -32,7 +32,6 @@ class CleanStats:
     extras: int = 0
     repaired: int = 0
     relax_iters: int = 0
-    by_rule: dict = field(default_factory=dict)
 
 
 def apply_filters(df: DataFrame, filters: list[Filter]) -> DataFrame:
@@ -55,71 +54,63 @@ def clean_sigma(
 ) -> tuple[DataFrame, CleanStats]:
     """Definition 2: relax the select result, fix errors, update in place.
 
-    Returns ``(updated_dataset, stats)``.  ``fds`` are the rules relevant to
-    this query; ``all_rules`` every (rule, world) pair the session knows —
-    needed because repairing a tuple under a new rule re-merges the worlds
-    of every rule it is dirty under (§4.3 / Lemma 4).
+    Returns ``(updated_dataset, stats)``.  ``fds`` (non-empty) are the rules
+    relevant to this query; ``all_rules`` every (rule, world) pair the
+    session knows — needed because repairing a tuple under a new rule
+    re-merges the worlds of every rule it is dirty under (§4.3 / Lemma 4).
     """
     st = CleanStats(answer=answer.count())
-    extras_frames = []
+    region = answer
     for fd in fds:
         side = filter_side(fd, filters)
         max_iter = 0 if relax_mode == "closure" else None
         extra, iters = relax.relax_fd(dataset, answer, fd, max_iter=max_iter, filter_side=side)
         st.relax_iters = max(st.relax_iters, iters)
-        extras_frames.append(extra)
-    region = answer
-    for e in extras_frames:
-        region = region.unionByName(e)
+        region = region.unionByName(extra)
     region = region.dropDuplicates([TID]).localCheckpoint(eager=True)
     st.extras = region.count() - st.answer
 
-    dirty_map = None
+    dirty = None
     checked: dict[str, DataFrame] = {}
     for fd in fds:
         stats = stats_by_rule[fd.name]
         vg = detect.violating_complete_groups(region, fd, stats)
         members = detect.members_of(region, fd, vg).select(TID)
-        dm = members.withColumn("rule_name", F.lit(fd.name))
-        dirty_map = dm if dirty_map is None else dirty_map.unionByName(dm)
+        dirty = members if dirty is None else dirty.unionByName(members)
         cg = detect.complete_groups(region, fd, stats)
         checked[fd.name] = detect.members_of(region, fd, cg).select(TID)
-        st.by_rule[fd.name] = None
-    if dirty_map is None:
-        return dataset, st
-    dirty_map = dirty_map.localCheckpoint(eager=True)
-    if dirty_map.count() == 0:
+    dirty = dirty.distinct().localCheckpoint(eager=True)
+    st.repaired = dirty.count()
+    if st.repaired == 0:
         # nothing to repair — only mark the examined groups as checked
-        updated = update.apply_repairs(dataset, None, checked)
-        return updated, st
+        return update.apply_repairs(dataset, None, checked), st
 
-    # cross-rule augmentation: a tuple repaired now must re-merge the worlds
-    # of every *other* rule it is already known-dirty under
-    dirty_tids = dirty_map.select(TID).distinct()
-    aug = [dirty_map]
-    for fd, _w in all_rules:
-        stats = stats_by_rule[fd.name]
-        dirty_groups = stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
-        checked_now = checked.get(fd.name)
-        was_checked = dataset.where(F.col(checked_col(fd.name))).select(TID)
-        eligible = was_checked if checked_now is None else was_checked.unionByName(checked_now)
-        extra_pairs = (
-            dataset.join(dirty_tids, TID, "leftsemi")
-            .join(dirty_groups, list(fd.lhs), "leftsemi")
-            .join(eligible, TID, "leftsemi")
-            .select(TID)
-            .withColumn("rule_name", F.lit(fd.name))
-        )
-        aug.append(extra_pairs)
-    full_map = aug[0]
-    for a in aug[1:]:
-        full_map = full_map.unionByName(a)
-    full_map = full_map.distinct().localCheckpoint(eager=True)
-    st.repaired = full_map.select(TID).distinct().count()
-
+    rules = [fd for fd, _w in all_rules]
+    full_map = detect.repair_map(dataset, dirty, rules, stats_by_rule, checked=checked)
     fixes = repair.compute_repairs(dataset, all_rules, full_map)
-    updated = update.apply_repairs(dataset, fixes, checked)
-    return updated, st
+    return update.apply_repairs(dataset, fixes, checked), st
+
+
+def clean_side(
+    dataset: DataFrame,
+    filters: list[Filter],
+    fds: list[FD],
+    all_rules: list[tuple[FD, int]],
+    stats_by_rule: dict[str, DataFrame],
+    *,
+    relax_mode: str = "lemma",
+) -> tuple[DataFrame, CleanStats]:
+    """One query input: filter it, then clean_σ the answer under ``fds``.
+
+    ``fds`` are the input's FD rules the plan cleans ``after`` the filter;
+    with none, the answer is only counted.  Returns ``(updated, stats)``.
+    """
+    answer = apply_filters(dataset, filters).localCheckpoint(eager=True)
+    if not fds:
+        return dataset, CleanStats(answer=answer.count())
+    return clean_sigma(
+        dataset, answer, fds, all_rules, stats_by_rule, filters, relax_mode=relax_mode
+    )
 
 
 def clean_join(
@@ -138,35 +129,20 @@ def clean_join(
     """Definition 3: clean both qualifying parts, re-evaluate the join.
 
     (a) extracts the qualifying part of each input, (b) cleans each part and
-    updates each relation separately, (c) recomputes the (incremental,
-    probabilistic) join — extra tuples produced by relaxation can only match
-    already-qualifying partners (Lemma 5), so the recomputation needs no
-    further violation checks.
+    updates each relation separately (:func:`clean_side`), (c) recomputes
+    the (incremental, probabilistic) join — extra tuples produced by
+    relaxation can only match already-qualifying partners (Lemma 5), so the
+    recomputation needs no further violation checks.
 
     Returns ``(left_updated, right_updated, join_result, lstats, rstats)``.
     """
-    lans = apply_filters(left_dataset, q.filters).localCheckpoint(eager=True)
-    left_updated, lst = (
-        clean_sigma(
-            left_dataset, lans, left_rules, left_all, left_stats, q.filters, relax_mode=relax_mode
-        )
-        if left_rules
-        else (left_dataset, CleanStats(answer=lans.count()))
-    )
     assert q.join is not None
-    rans = apply_filters(right_dataset, q.join.right_filters).localCheckpoint(eager=True)
-    right_updated, rst = (
-        clean_sigma(
-            right_dataset,
-            rans,
-            right_rules,
-            right_all,
-            right_stats,
-            q.join.right_filters,
-            relax_mode=relax_mode,
-        )
-        if right_rules
-        else (right_dataset, CleanStats(answer=rans.count()))
+    left_updated, lst = clean_side(
+        left_dataset, q.filters, left_rules, left_all, left_stats, relax_mode=relax_mode
+    )
+    right_updated, rst = clean_side(
+        right_dataset, q.join.right_filters, right_rules, right_all, right_stats,
+        relax_mode=relax_mode,
     )
     # re-extract the (possibly grown) qualifying parts from the updated
     # relations and evaluate the probabilistic join
@@ -203,6 +179,11 @@ def run_query(tables: dict[str, DataFrame], q: Query) -> DataFrame:
     if q.group_by or q.aggs:
         return aggregate(df, q, prefix=prefix)
     if q.project:
-        cols = [f"{prefix}{c}" if prefix and f"{prefix}{c}" in df.columns else c for c in q.project]
+        # a join answer keeps its lineage pair (§4); a projected attribute
+        # keeps its candidate set when it has one
+        cols = [f"l_{TID}", f"r_{TID}"] if q.join else []
+        for c in q.project:
+            c = f"{prefix}{c}" if f"{prefix}{c}" in df.columns else c
+            cols += [c, cands_col(c)] if cands_col(c) in df.columns else [c]
         return df.select(*cols)
     return df

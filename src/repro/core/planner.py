@@ -8,9 +8,10 @@ Supported query template (§5)::
 represented structurally by :class:`Query`.  The planner detects which query
 operators touch attributes of which rules (§5.1) and injects cleaning
 operators pushed down next to them; the §5.2.3 cost decision chooses the
-*placement*: ``after`` the query operator (incremental: clean the relaxed
-result) or ``before`` it (clean the input relation — the full-cleaning
-strategy).  The produced :class:`PlanOp` list is what Fig 3 draws.
+*placement* of FD cleaning: ``after`` the query operator (incremental: clean
+the relaxed result) or ``before`` it (clean the input relation — the
+full-cleaning strategy).  The produced :class:`PlanOp` list is what Fig 3
+draws, and it is what :meth:`repro.core.daisy.DaisySession.execute` runs.
 """
 from __future__ import annotations
 
@@ -98,32 +99,39 @@ def build_plan(
     rules_by_table: dict[str, list[Rule]],
     *,
     placement_by_table: dict[str, str] | None = None,
+    columns_by_table: dict[str, list[str]] | None = None,
 ) -> list[PlanOp]:
     """Cleaning-aware logical plan with pushed-down cleaning operators.
 
-    ``placement_by_table`` carries the cost-model decision (default
-    "after" = incremental).  Cleaning is always pushed below group-by
-    (§4: "for group-by queries, cleaning takes place before the
-    aggregation").
+    ``placement_by_table`` carries the cost-model decision for FD cleaning
+    (default "after" = incremental; "before" = the table is fully cleaned);
+    DC cleaning always runs on the filter result.  ``columns_by_table``
+    gives each table's base columns: a SELECT * query (no projection, no
+    group-by or aggregates) accesses all of them, on both sides of a join.
+    Cleaning is always pushed below group-by (§4: "for group-by queries,
+    cleaning takes place before the aggregation").
     """
     placement_by_table = placement_by_table or {}
-    ops: list[PlanOp] = [PlanOp("scan", table=q.table)]
-    place = placement_by_table.get(q.table, "after")
-    left_rules = relevant_rules(rules_by_table.get(q.table, []), q.attrs("left"))
-    if place == "before":  # clean the input relation, then filter
-        ops += [PlanOp(_clean_kind(r), q.table, r.name, "before") for r in left_rules]
-    if q.filters:
-        ops.append(PlanOp("filter", table=q.table))
-    if place == "after":  # incremental: relax + clean the filter result
-        ops += [PlanOp(_clean_kind(r), q.table, r.name, "after") for r in left_rules]
+    columns_by_table = columns_by_table or {}
+    select_star = q.project is None and not (q.group_by or q.aggs)
+
+    def side_ops(table: str, side: str, filtered: bool) -> list[PlanOp]:
+        attrs = q.attrs(side)
+        if select_star:
+            attrs |= set(columns_by_table.get(table, ()))
+        rules = relevant_rules(rules_by_table.get(table, []), attrs)
+        place = placement_by_table.get(table, "after")
+        before = [PlanOp("clean_sigma", table, r.name, "before")
+                  for r in rules if isinstance(r, FD) and place == "before"]
+        after = [PlanOp(_clean_kind(r), table, r.name, "after")
+                 for r in rules if isinstance(r, DC) or place == "after"]
+        return [PlanOp("scan", table=table), *before,
+                *([PlanOp("filter", table=table)] if filtered else []), *after]
+
+    ops = side_ops(q.table, "left", bool(q.filters))
     if q.join:
         jt = q.join.right_table
-        ops.append(PlanOp("scan", table=jt))
-        right_rules = relevant_rules(rules_by_table.get(jt, []), q.attrs("right"))
-        if q.join.right_filters:
-            ops.append(PlanOp("filter", table=jt))
-        for r in right_rules:
-            ops.append(PlanOp(_clean_kind(r), jt, r.name, placement_by_table.get(jt, "after")))
+        ops += side_ops(jt, "right", bool(q.join.right_filters))
         join_key_ruled = any(
             q.join.left_on in r.attrs for r in rules_by_table.get(q.table, [])
         ) or any(q.join.right_on in r.attrs for r in rules_by_table.get(jt, []))

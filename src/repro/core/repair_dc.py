@@ -15,7 +15,6 @@ total number of fixes collected for that cell.
 """
 from __future__ import annotations
 
-import math
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -87,11 +86,3 @@ def dc_fixes(violations: DataFrame, dc: DC) -> DataFrame:
     ).where(F.col("p") > 1e-12)
     return ranges.unionByName(keeps).drop("own")
 
-
-def fix_summary(fixes: DataFrame) -> dict:
-    """Aggregate stats used by the Fig 10 harness and tests."""
-    row = fixes.agg(
-        F.countDistinct("tid").alias("tuples"),
-        F.count("*").alias("ranges"),
-    ).first()
-    return {"tuples": int(row["tuples"]), "ranges": int(row["ranges"])}

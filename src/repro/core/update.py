@@ -24,8 +24,6 @@ def apply_repairs(
     dataset: DataFrame,
     fixes: DataFrame | None,
     checked: dict[str, DataFrame] | None = None,
-    *,
-    checkpoint: bool = True,
 ) -> DataFrame:
     """Merge ``fixes`` (tid + ``*__cands``) and checked-tid sets into ``dataset``.
 
@@ -55,6 +53,4 @@ def apply_repairs(
             .withColumn(cc, F.col(cc) | F.coalesce(F.col("__hit"), F.lit(False)))
             .drop("__hit")
         )
-    if checkpoint:
-        out = out.localCheckpoint(eager=True)
-    return out
+    return out.localCheckpoint(eager=True)

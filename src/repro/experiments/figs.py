@@ -149,7 +149,7 @@ def run_fig10(spark: SparkSession, *, n_rows=5_000, n_queries=8) -> dict:
 
         d = prob.spark_with_tid(spark, dirty)
         sess = DaisySession(spark, {"t": d}, {"t": [dc]}, use_cost_model=False,
-                            dc_partitions=36, accuracy_threshold=0.5)
+                            dc_partitions=36)
         t0 = _time.time()
         for i in range(n_queries):
             sess.execute(

@@ -1,7 +1,7 @@
 """Cost-model tests (paper §5.2; calibration documented in cost.py)."""
 import pytest
 
-from repro.core.cost import CostModel, QueryCost, offline_total_cost
+from repro.core.cost import CostModel, QueryCost
 
 
 class TestRecord:
@@ -81,10 +81,6 @@ class TestSwitchDecision:
 
 
 class TestOfflineTotal:
-    def test_formula(self):
-        # q·n + n + ε·n + n + ε·p
-        assert offline_total_cost(n=100, q=2, eps=10, p=3.0) == 200 + 100 + 1000 + 100 + 30
-
     def test_projection_zero_without_history(self):
         cm = CostModel(n=100, eps_total=10, p=1.0)
         assert cm.projected_incremental_cost() == 0.0

@@ -83,6 +83,87 @@ class TestIrrelevantQueries:
         assert sess.records[0].strategy == "no-rule"
 
 
+class TestPlanDrivesExecution:
+    """``execute`` runs the plan ``plan`` shows, on SP and join queries."""
+
+    @staticmethod
+    def _dc_table(spark, n=300, seed=3):
+        import numpy as np
+
+        from repro.datagen.errors import inject_dc_errors, monotone_discount
+
+        g = np.random.default_rng(seed)
+        pdf = pd.DataFrame({"extendedprice": (g.random(n) * 5000).round(0)})
+        pdf["discount"] = monotone_discount(pdf["extendedprice"].to_numpy(), levels=15)
+        dirty, _ = inject_dc_errors(pdf, "extendedprice", "discount", frac_rows=0.03, seed=4)
+        dirty["k"] = np.arange(n) % 10
+        dirty["v"] = dirty["k"] % 3
+        return prob.spark_with_tid(spark, dirty)
+
+    DCR = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dcr")
+
+    def test_select_star_plan_cleans_rule_free_filter(self, spark, small_session_inputs):
+        # SELECT * accesses every attribute, so φ is cleaned even though the
+        # query filters only quantity — and the plan says so
+        sess = _fresh(spark, small_session_inputs, use_cost_model=False)
+        q = Query("lineorder", [Filter("quantity", "=", 5)])
+        assert any(o.op == "clean_sigma" and o.rule == PHI.name for o in sess.plan(q))
+        sess.execute(q).count()
+        assert sess.records[-1].strategy == "incremental"
+
+    def test_join_runs_left_dc(self, spark):
+        t = self._dc_table(spark)
+        s = prob.spark_with_tid(spark, pd.DataFrame({"k": list(range(10)), "name": list("abcdefghij")}))
+        sess = DaisySession(
+            spark, {"t": t, "s": s}, {"t": [self.DCR]}, use_cost_model=False, dc_partitions=16
+        )
+        q = Query("t", [Filter("extendedprice", "between", 1000, 2000)],
+                  join=JoinSpec("s", "k", "k"))
+        assert any(o.op == "clean_dc" and o.table == "t" for o in sess.plan(q))
+        sess.execute(q).count()
+        assert sess.records[-1].dc_mode in ("partial", "full")
+        assert "t" in sess.dc_repairs
+
+    def test_projected_join_answer_is_run_query(self, spark):
+        from repro.core import operators
+
+        lo = ssb.lineorder_pdf(n_rows=300, n_orderkeys=30, n_suppkeys=8)
+        lo_d, _ = inject_fd_errors(lo, ("orderkey",), "suppkey", frac_rows=0.15, seed=9)
+        sup = ssb.supplier_pdf(n_suppkeys=8, rows_per_supp=2)
+        sess = DaisySession(
+            spark,
+            {"lineorder": prob.spark_with_tid(spark, lo_d),
+             "supplier": prob.spark_with_tid(spark, sup)},
+            {"lineorder": [PHI]},
+            use_cost_model=False,
+        )
+        q = Query("lineorder", [Filter("suppkey", "between", 1, 4)],
+                  project=["suppkey", "quantity"],
+                  join=JoinSpec("supplier", "suppkey", "suppkey"))
+        got = sess.execute(q)
+        exp = operators.run_query(sess.tables, q)
+        assert got.columns == exp.columns
+        pairs = [f"l_{TID}", f"r_{TID}"]
+        assert {tuple(r) for r in got.select(*pairs).collect()} == {
+            tuple(r) for r in exp.select(*pairs).collect()
+        }
+
+    def test_dc_cleaned_after_full_clean(self, spark):
+        t = self._dc_table(spark)
+        fd = FD(("k",), "v", name="kv")
+        sess = DaisySession(
+            spark, {"t": t}, {"t": [fd, self.DCR]}, use_cost_model=False, dc_partitions=16
+        )
+        sess.full_clean("t")
+        q = Query("t", [Filter("extendedprice", "between", 1000, 2000)])
+        plan = sess.plan(q)
+        assert ("clean_dc", "after") in [(o.op, o.placement) for o in plan]
+        assert ("clean_sigma", "before") in [(o.op, o.placement) for o in plan]
+        sess.execute(q).count()
+        assert sess.records[-1].dc_mode in ("partial", "full")
+        assert sess.records[-1].strategy == "clean"
+
+
 class TestProjectionAndAggregates:
     def test_projection_carries_cands(self, spark, small_session_inputs):
         sess = _fresh(spark, small_session_inputs, use_cost_model=False)

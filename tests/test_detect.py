@@ -77,7 +77,7 @@ class TestViolatingGroups:
 
     def test_violating_tids_offline_scope(self, cities, phi1):
         st = detect.group_stats(cities, phi1)
-        tids = detect.violating_tids(cities, phi1, st)
+        tids = detect.repair_map(cities, None, [phi1], {phi1.name: st})
         assert sorted(r[TID] for r in tids.collect()) == [0, 1, 2, 3, 4]
 
     def test_clean_group_not_violating(self, spark):

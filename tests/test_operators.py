@@ -157,3 +157,17 @@ class TestAggregateAndRunQuery:
         d = prob.spark_with_tid(spark, pd.DataFrame({"a": [1], "b": [2]}))
         q = Query("t", project=["b"])
         assert operators.run_query({"t": d}, q).columns == ["b"]
+
+    def test_projection_keeps_cands(self, spark):
+        d = prob.spark_with_tid(spark, pd.DataFrame({"a": [1], "b": [2]}))
+        d = prob.ensure_cands(d, ["b"])
+        q = Query("t", project=["a", "b"])
+        assert operators.run_query({"t": d}, q).columns == ["a", "b", prob.cands_col("b")]
+
+    def test_join_projection_keeps_lineage_and_cands(self, spark):
+        l = prob.ensure_cands(prob.spark_with_tid(spark, pd.DataFrame({"k": [1, 2]})), ["k"])
+        r = prob.spark_with_tid(spark, pd.DataFrame({"k": [2], "b": [9.0]}))
+        q = Query("l", project=["k"], join=JoinSpec("r", "k", "k"))
+        out = operators.run_query({"l": l, "r": r}, q)
+        assert out.columns == [f"l_{TID}", f"r_{TID}", "l_k", "l_k__cands"]
+        assert [tuple(x) for x in out.select(f"l_{TID}", f"r_{TID}").collect()] == [(1, 0)]

@@ -13,8 +13,7 @@ from repro.core.prob import TID
 def _dm(df, fd):
     """All members of violating groups, mapped to the rule (test helper)."""
     st = detect.group_stats(df, fd)
-    tids = detect.violating_tids(df, fd, st)
-    return tids.withColumn("rule_name", F.lit(fd.name))
+    return detect.repair_map(df, None, [fd], {fd.name: st})
 
 
 @pytest.fixture()

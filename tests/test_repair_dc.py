@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import prob
 from repro.core.constraints import DC, Atom
-from repro.core.repair_dc import INF, dc_fixes, fix_summary
+from repro.core.repair_dc import INF, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
 DC_RULE = DC((Atom("salary", "<"), Atom("tax", ">")), name="dc")
@@ -57,11 +57,6 @@ class TestExample5:
         _, fixes = example5
         sums = fixes.groupby(["tid", "attr"])["p"].sum()
         assert (sums - 1.0).abs().max() < 1e-9
-
-    def test_fix_summary(self, spark, example5):
-        viol, _ = example5
-        s = fix_summary(dc_fixes(viol, DC_RULE))
-        assert s["tuples"] == 2 and s["ranges"] == 8  # 2 range + 2 keep per tuple
 
 
 class TestMultiplePartners:
