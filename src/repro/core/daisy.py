@@ -260,16 +260,18 @@ class DaisySession:
             for fd in fds:
                 unchecked = (
                     df.where(~F.col(checked_col(fd.name)))
-                    .join(detect.violating_groups(self.stats[table][fd.name], fd),
+                    .join(F.broadcast(detect.violating_groups(self.stats[table][fd.name], fd)),
                           list(fd.lhs), "leftsemi")
                     .select(TID)
                 )
                 todo = unchecked if todo is None else todo.unionByName(unchecked)
-            full_map = detect.repair_map(df, todo, fds, self.stats[table])
-            fixes = repair.compute_repairs(df, rules, full_map)
-            self.tables[table] = update.apply_repairs(
-                df, fixes, {fd.name: df.select(TID) for fd in fds}
+            # the full clean examines every group of every rule
+            df = df.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
+            full_map = detect.repair_map(
+                df.join(todo, TID, "leftsemi"), fds, self.stats[table]
             )
+            fixes = repair.compute_repairs(df, rules, full_map)
+            self.tables[table] = update.apply_repairs(df, fixes)
         self.fully_cleaned.add(table)
 
     # ------------------------------------------------------------------ #

@@ -64,39 +64,46 @@ def dirty_group_summary(stats: DataFrame) -> tuple[int, int, float]:
     return int(row["g"]), int(row["t"]), float(row["p"])
 
 
-def violating_complete_groups(region: DataFrame, fd: FD, stats: DataFrame) -> DataFrame:
-    """Violating lhs groups of ``region`` that are *fully contained* in it.
-
-    Under Lemma-budget relaxation, extras pulled via an rhs match may carry
-    partially-present lhs groups; those are deferred to the query that
-    touches them (their rows stay unchecked).  Completeness is verified
-    against the precomputed global ``group_size``.
-
-    Returns the lhs-key frame of groups to repair now.
-    """
-    r = region
-    if checked_col(fd.name) in region.columns:
-        r = region.where(~F.col(checked_col(fd.name)))
-    present = r.groupBy(*fd.lhs).agg(F.count("*").alias("__present"))
-    joined = present.join(stats, list(fd.lhs))
-    return joined.where(
-        (F.col("__present") == F.col("group_size")) & (F.col("n_rhs") > 1)
-    ).select(*fd.lhs)
+#: flag column of :func:`complete_groups`: the group is repaired now
+VIOLATING = "__violating"
 
 
 def complete_groups(region: DataFrame, fd: FD, stats: DataFrame) -> DataFrame:
-    """All lhs groups fully contained in ``region`` (clean or violating).
+    """All lhs groups fully contained in ``region``, flagged if repaired now.
 
     These are the groups whose examination is finished by this query —
     their rows get the per-rule checked marker (§4.3: "Daisy maintains
     information about the already checked tuples by each rule").
+    Completeness is verified against the precomputed global ``group_size``.
+
+    The ``VIOLATING`` column marks the groups to repair now: they violate
+    (``n_rhs > 1``) and none of their rows is checked yet.  Under
+    Lemma-budget relaxation, extras pulled via an rhs match may carry
+    partially-present lhs groups; those are deferred to the query that
+    touches them (their rows stay unchecked).
+
+    One group-by over ``region``, joined to ``stats``; ``stats`` is
+    broadcast (one row per distinct lhs value).
     """
-    present = region.groupBy(*fd.lhs).agg(F.count("*").alias("__present"))
-    return (
-        present.join(stats, list(fd.lhs))
-        .where(F.col("__present") == F.col("group_size"))
-        .select(*fd.lhs)
+    cc = checked_col(fd.name)
+    unchecked = ~F.col(cc) if cc in region.columns else F.lit(True)
+    present = region.groupBy(*fd.lhs).agg(
+        F.count("*").alias("__present"), F.count_if(unchecked).alias("__unchecked")
     )
+    return (
+        present.join(F.broadcast(stats), list(fd.lhs))
+        .where(F.col("__present") == F.col("group_size"))
+        .select(
+            *fd.lhs,
+            ((F.col("__unchecked") == F.col("group_size")) & (F.col("n_rhs") > 1))
+            .alias(VIOLATING),
+        )
+    )
+
+
+def violating_complete_groups(region: DataFrame, fd: FD, stats: DataFrame) -> DataFrame:
+    """The lhs keys of the groups :func:`complete_groups` flags to repair now."""
+    return complete_groups(region, fd, stats).where(F.col(VIOLATING)).select(*fd.lhs)
 
 
 def members_of(region: DataFrame, fd: FD, groups: DataFrame) -> DataFrame:
@@ -109,32 +116,20 @@ def violating_groups(stats: DataFrame, fd: FD) -> DataFrame:
     return stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
 
 
-def repair_map(
-    dataset: DataFrame,
-    tids: DataFrame | None,
-    fds: list[FD],
-    stats_by_rule: dict[str, DataFrame],
-    *,
-    checked: dict[str, DataFrame] | None = None,
-) -> DataFrame:
+def repair_map(rows: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame]) -> DataFrame:
     """The ``(TID, rule_name)`` pairs repair merges the worlds of (§4.3).
 
-    Each tid to repair (``tids``; ``None`` takes every tuple of ``dataset``)
-    is listed under every rule whose violating group contains it, so a
+    Each tuple of ``rows`` (the tuples to repair) is listed under every rule
+    whose group it was checked in (its ``__checked__<rule>`` flag, set
+    earlier or by the caller) and whose violating group contains it, so a
     tuple repaired now re-merges the worlds of the rules it is already
-    known-dirty under.  With ``checked`` (rule name → tids whose group this
-    query examined), a tid is listed under a rule only if it was checked
-    under that rule, earlier (its flag in ``dataset``) or in this query.
+    known-dirty under.  A full clean sets every flag first.  The
+    violating-group keys are broadcast (one row per distinct lhs value).
     """
-    todo = dataset if tids is None else dataset.join(tids, TID, "leftsemi")
     out = None
     for fd in fds:
-        pairs = todo.join(violating_groups(stats_by_rule[fd.name], fd), list(fd.lhs), "leftsemi")
-        if checked is not None:
-            eligible = dataset.where(F.col(checked_col(fd.name))).select(TID)
-            if fd.name in checked:
-                eligible = eligible.unionByName(checked[fd.name])
-            pairs = pairs.join(eligible, TID, "leftsemi")
+        vg = F.broadcast(violating_groups(stats_by_rule[fd.name], fd))
+        pairs = rows.where(F.col(checked_col(fd.name))).join(vg, list(fd.lhs), "leftsemi")
         pairs = pairs.select(TID).withColumn("rule_name", F.lit(fd.name))
         out = pairs if out is None else out.unionByName(pairs)
     return out

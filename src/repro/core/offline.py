@@ -36,7 +36,7 @@ from pyspark.sql import functions as F
 
 from repro.core import detect, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
-from repro.core.prob import TID, ensure_cands, ensure_checked
+from repro.core.prob import TID, checked_col, ensure_cands, ensure_checked
 from repro.core.repair_dc import dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
@@ -78,15 +78,15 @@ def offline_clean(
     repaired = 0
     timed_out = False
     if fds:
-        # the full dirty map: every member of every violating group, listed
-        # under every rule it is dirty under
-        dm = detect.repair_map(out, None, fds, stats).localCheckpoint(eager=True)
+        # a full clean examines every group of every rule; the full dirty
+        # map lists every member of every violating group under every rule
+        # it is dirty under
+        out = out.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
+        dm = detect.repair_map(out, fds, stats).localCheckpoint(eager=True)
         repaired = dm.select(TID).distinct().count()
         if mode == "vectorized":
             fixes = repair.compute_repairs(out, fd_worlds, dm)
-            out = update.apply_repairs(
-                out, fixes, {fd.name: out.select(TID) for fd in fds}
-            )
+            out = update.apply_repairs(out, fixes)
             passes = 1
         elif mode == "per_group":
             # one pass per batch of erroneous groups, per rule — the
@@ -126,9 +126,7 @@ def offline_clean(
                 # a tuple may be repaired in several batches (one per rule);
                 # repairs are full recomputations, keep one row per tid
                 fixes = fixes.dropDuplicates([TID])
-                out = update.apply_repairs(
-                    out, fixes, {fd.name: out.select(TID) for fd in fds}
-                )
+                out = update.apply_repairs(out, fixes)
         else:
             raise ValueError(f"unknown mode {mode!r}")
 

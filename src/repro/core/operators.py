@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 from repro.core import detect, relax, repair, update
 from repro.core.constraints import FD
 from repro.core.planner import Aggregate, Filter, Query, filter_side
-from repro.core.prob import TID, cands_col, prob_equijoin, qualifies
+from repro.core.prob import TID, cands_col, checked_col, prob_equijoin, qualifies
 
 
 @dataclass
@@ -42,6 +42,10 @@ def apply_filters(df: DataFrame, filters: list[Filter]) -> DataFrame:
     return out
 
 
+#: flag columns of the detected region (:func:`clean_sigma`)
+IN_ANSWER, DIRTY, CHANGED = "__in_answer", "__dirty", "__changed"
+
+
 def clean_sigma(
     dataset: DataFrame,
     answer: DataFrame,
@@ -58,37 +62,68 @@ def clean_sigma(
     relevant to this query; ``all_rules`` every (rule, world) pair the
     session knows — needed because repairing a tuple under a new rule
     re-merges the worlds of every rule it is dirty under (§4.3 / Lemma 4).
+
+    Each phase is one pass: relaxation grows the region (one checkpoint per
+    round), detection puts each rule's group facts on the region rows as
+    flags (one checkpoint), one aggregate counts them, and the update is
+    one broadcast join.  With no repair and no newly checked group the
+    dataset is returned as it is.
     """
-    st = CleanStats(answer=answer.count())
-    region = answer
+    st = CleanStats()
+    region = answer.withColumn(IN_ANSWER, F.lit(True))
     for fd in fds:
         side = filter_side(fd, filters)
         max_iter = 0 if relax_mode == "closure" else None
         extra, iters = relax.relax_fd(dataset, answer, fd, max_iter=max_iter, filter_side=side)
         st.relax_iters = max(st.relax_iters, iters)
-        region = region.unionByName(extra)
-    region = region.dropDuplicates([TID]).localCheckpoint(eager=True)
-    st.extras = region.count() - st.answer
+        region = region.unionByName(extra.withColumn(IN_ANSWER, F.lit(False)))
+    if len(fds) > 1:
+        # the extras of different rules overlap (none overlaps the answer)
+        region = region.dropDuplicates([TID])
 
-    dirty = None
-    checked: dict[str, DataFrame] = {}
-    for fd in fds:
-        stats = stats_by_rule[fd.name]
-        vg = detect.violating_complete_groups(region, fd, stats)
-        members = detect.members_of(region, fd, vg).select(TID)
-        dirty = members if dirty is None else dirty.unionByName(members)
-        cg = detect.complete_groups(region, fd, stats)
-        checked[fd.name] = detect.members_of(region, fd, cg).select(TID)
-    dirty = dirty.distinct().localCheckpoint(eager=True)
-    st.repaired = dirty.count()
-    if st.repaired == 0:
-        # nothing to repair — only mark the examined groups as checked
-        return update.apply_repairs(dataset, None, checked), st
+    flagged = _detect(region, fds, stats_by_rule).localCheckpoint(eager=True)
+    # one task over the checkpointed region: no shuffle stage for the counts
+    row = flagged.coalesce(1).agg(
+        F.count("*").alias("region"), *[F.count_if(c).alias(c) for c in (IN_ANSWER, DIRTY, CHANGED)]
+    ).first()
+    st.answer, st.repaired = row[IN_ANSWER], row[DIRTY]
+    st.extras = row["region"] - st.answer
+    if row[CHANGED] == 0:
+        return dataset, st
 
-    rules = [fd for fd, _w in all_rules]
-    full_map = detect.repair_map(dataset, dirty, rules, stats_by_rule, checked=checked)
-    fixes = repair.compute_repairs(dataset, all_rules, full_map)
-    return update.apply_repairs(dataset, fixes, checked), st
+    delta = flagged.where(F.col(CHANGED)).select(TID, *[checked_col(fd.name) for fd in fds])
+    if st.repaired:
+        rules = [fd for fd, _w in all_rules]
+        dirty_map = detect.repair_map(flagged.where(F.col(DIRTY)), rules, stats_by_rule)
+        fixes = repair.compute_repairs(dataset, all_rules, dirty_map)
+        # the fixes are the dirty part of the region
+        delta = delta.join(F.broadcast(fixes), TID, "left")
+    return update.apply_repairs(dataset, delta), st
+
+
+def _detect(region: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame]) -> DataFrame:
+    """``region`` with the flags of :func:`detect.complete_groups` on its rows.
+
+    Per rule, a row of a complete group gets its checked flag set, and a row
+    of a group to repair now is ``DIRTY``; ``CHANGED`` marks the rows whose
+    flags the update must write.  The group frames are broadcast (at most
+    one row per distinct lhs value of the region).
+    """
+    groups = [detect.complete_groups(region, fd, stats_by_rule[fd.name]) for fd in fds]
+    out = region.withColumns({DIRTY: F.lit(False), CHANGED: F.lit(False)})
+    for fd, g in zip(fds, groups):
+        cc = checked_col(fd.name)
+        hit = F.col("__hit").isNotNull()
+        out = (
+            out.join(F.broadcast(g.withColumn("__hit", F.lit(True))), list(fd.lhs), "left")
+            .withColumns({
+                DIRTY: F.col(DIRTY) | F.coalesce(F.col(detect.VIOLATING), F.lit(False)),
+                CHANGED: F.col(CHANGED) | (hit & ~F.col(cc)),
+                cc: F.col(cc) | hit,
+            })
+            .drop(detect.VIOLATING, "__hit")
+        )
+    return out
 
 
 def clean_side(
@@ -104,8 +139,9 @@ def clean_side(
 
     ``fds`` are the input's FD rules the plan cleans ``after`` the filter;
     with none, the answer is only counted.  Returns ``(updated, stats)``.
+    The answer stays a lazy filter over the (checkpointed) dataset.
     """
-    answer = apply_filters(dataset, filters).localCheckpoint(eager=True)
+    answer = apply_filters(dataset, filters)
     if not fds:
         return dataset, CleanStats(answer=answer.count())
     return clean_sigma(
@@ -183,7 +219,19 @@ def run_query(tables: dict[str, DataFrame], q: Query) -> DataFrame:
         # keeps its candidate set when it has one
         cols = [f"l_{TID}", f"r_{TID}"] if q.join else []
         for c in q.project:
-            c = f"{prefix}{c}" if f"{prefix}{c}" in df.columns else c
+            c = _resolve(df, c, ["l_", "r_"] if q.join else [])
             cols += [c, cands_col(c)] if cands_col(c) in df.columns else [c]
         return df.select(*cols)
     return df
+
+
+def _resolve(df: DataFrame, attr: str, prefixes: list[str]) -> str:
+    """The column of ``df`` a projected attribute names.
+
+    An unprefixed attribute of a join answer is the left input's, else the
+    right input's; a name already carrying its prefix is taken as it is.
+    """
+    for name in [p + attr for p in prefixes] + [attr]:
+        if name in df.columns:
+            return name
+    raise ValueError(f"unknown projected attribute {attr!r}")

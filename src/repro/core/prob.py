@@ -27,6 +27,7 @@ from pyspark.sql import types as T
 
 TID = "__tid"
 CAND_SUFFIX = "__cands"
+CHECKED_PREFIX = "__checked__"
 
 
 def cands_col(attr: str) -> str:
@@ -36,7 +37,7 @@ def cands_col(attr: str) -> str:
 
 def checked_col(rule_name: str) -> str:
     """Name of the per-rule processed-group marker column."""
-    return f"__checked__{rule_name}"
+    return f"{CHECKED_PREFIX}{rule_name}"
 
 
 def base_attrs(df: DataFrame) -> list[str]:
@@ -44,7 +45,7 @@ def base_attrs(df: DataFrame) -> list[str]:
     return [
         c
         for c in df.columns
-        if c != TID and not c.endswith(CAND_SUFFIX) and not c.startswith("__checked__")
+        if c != TID and not c.endswith(CAND_SUFFIX) and not c.startswith(CHECKED_PREFIX)
     ]
 
 

@@ -14,6 +14,15 @@ the paper's worked examples exactly.
 
 Matching is probabilistic-aware: a tuple matches a value set through *any*
 of its candidate values (§4 qualification semantics).
+
+The rounds grow a region instead of draining an unvisited pool.  Round
+``k`` is every tuple of ``d`` with a possible lhs or rhs value in the value
+sets of region ``k-1`` (region 0 is ``A``).  The value sets only grow, so
+the regions are nested and region ``k`` minus ``A`` is exactly the extras of
+Algorithm 1's first ``k`` iterations; each answer tuple with a value lies in
+region 1, so the regions' value sets are those of ``A`` ∪ region.  A round
+is two broadcast semi-joins (one per value set) and one checkpoint; the
+answer is subtracted once, at the end.
 """
 from __future__ import annotations
 
@@ -27,33 +36,33 @@ from repro.core.prob import TID, possible_values
 LEMMA_ITERS = {"rhs": 1, "lhs": 2, None: 2}
 
 
-def _match_single(unvisited: DataFrame, attr: str, vals: DataFrame) -> DataFrame:
-    """Rows of ``unvisited`` with any candidate value of ``attr`` in ``vals``."""
-    ex = unvisited.select(
-        F.col(TID).alias("__mtid"), F.explode(possible_values(unvisited, attr)).alias("v")
-    )
-    tids = (
-        ex.join(F.broadcast(vals), "v", "leftsemi")
-        .select(F.col("__mtid").alias(TID))
-        .distinct()
-    )
-    return unvisited.join(F.broadcast(tids), TID, "leftsemi")
+def _value_rows(df: DataFrame, attrs: tuple[str, ...]) -> tuple[DataFrame, list[str]]:
+    """``(TID, value)`` rows of ``df`` and the value key columns.
 
-
-def _match_composite(unvisited: DataFrame, attrs: tuple[str, ...], vals: DataFrame) -> DataFrame:
-    """Composite-lhs match on base (provenance) values."""
-    return unvisited.join(vals, list(attrs), "leftsemi")
-
-
-def _values(df: DataFrame, attrs: tuple[str, ...]) -> DataFrame:
+    A single attribute gives one row per non-null possible (candidate)
+    value; a composite lhs matches on its base (provenance) values.  Rows
+    are not de-duplicated: a semi-join needs no distinct build side.
+    """
     if len(attrs) == 1:
-        a = attrs[0]
-        return (
-            df.select(F.explode(possible_values(df, a)).alias("v"))
-            .where(F.col("v").isNotNull())
-            .distinct()
-        )
-    return df.select(*attrs).distinct()
+        rows = df.select(TID, F.explode(possible_values(df, attrs[0])).alias("v"))
+        return rows.where(F.col("v").isNotNull()), ["v"]
+    return df.select(TID, *attrs), list(attrs)
+
+
+def _grow(dataset: DataFrame, region: DataFrame, fd: FD) -> DataFrame:
+    """Tuples of ``dataset`` with a possible lhs or rhs value in ``region``'s.
+
+    The value sets are broadcast: they are bounded by the region's cells,
+    and so is the matched-tid frame, which holds one row per matching
+    value of each tuple of the next region.
+    """
+    hits = None
+    for attrs in (fd.lhs, (fd.rhs,)):
+        rows, keys = _value_rows(dataset, attrs)
+        vals, _ = _value_rows(region, attrs)
+        t = rows.join(F.broadcast(vals.drop(TID)), keys, "leftsemi").select(TID)
+        hits = t if hits is None else hits.unionByName(t)
+    return dataset.join(F.broadcast(hits), TID, "leftsemi")
 
 
 def relax_fd(
@@ -68,48 +77,27 @@ def relax_fd(
 
     ``max_iter=None`` selects the Lemma budget for ``filter_side`` ('lhs',
     'rhs' or None); ``max_iter=0`` means run to fixpoint (closure).
+    ``total_extra`` holds the relaxed region's tuples outside ``answer``,
+    each once.
     """
     if max_iter is None:
         max_iter = LEMMA_ITERS.get(filter_side, 2)
     closure = max_iter == 0
-    budget = 10**6 if closure else max_iter
-
-    lhs = fd.lhs
-    current = answer
-    unvisited = dataset.join(answer.select(TID), TID, "left_anti")
-    if budget > 1:
-        # reused across rounds; a single-round budget inlines it instead
-        unvisited = unvisited.localCheckpoint(eager=True)
-    extras: list[DataFrame] = []
-    iters = 0
-    for it in range(budget):
+    region, iters, n_extra = answer, 0, 0
+    while closure or iters < max_iter:
+        # one checkpoint per round: a round's plan otherwise nests every
+        # earlier round and re-runs them per downstream action
+        grown = _grow(dataset, region, fd).localCheckpoint(eager=True)
+        if closure:
+            n = _minus(grown, answer).count()
+            if n == n_extra:
+                break  # the empty round is termination detection, not work
+            n_extra = n
+        region = grown
         iters += 1
-        # A_lhs / A_rhs snapshots from the current (relaxed) result
-        lhs_vals = _values(current, lhs)
-        rhs_vals = _values(current, (fd.rhs,))
-        if len(lhs) == 1:
-            extra1 = _match_single(unvisited, lhs[0], lhs_vals)
-        else:
-            extra1 = _match_composite(unvisited, lhs, lhs_vals)
-        rest = unvisited.join(extra1.select(TID), TID, "left_anti")
-        extra2 = _match_single(rest, fd.rhs, rhs_vals)
-        # Eager checkpoints every round: each iteration's plan otherwise
-        # nests all previous rounds' anti-joins and re-executes them per
-        # downstream action (measured: unbounded slowdown even on toy data).
-        extra = extra1.unionByName(extra2).localCheckpoint(eager=True)
-        if closure and extra.limit(1).count() == 0:
-            iters -= 1  # the empty round is termination detection, not work
-            break
-        extras.append(extra)
-        if not closure and it == budget - 1:
-            break  # last budgeted round: current/unvisited no longer needed
-        unvisited = rest.join(extra2.select(TID), TID, "left_anti").localCheckpoint(eager=True)
-        current = current.unionByName(extra).localCheckpoint(eager=True)
-    if not extras:
-        return dataset.limit(0), iters
-    total_extra = extras[0]
-    for e in extras[1:]:
-        total_extra = total_extra.unionByName(e)
-    # extras are disjoint by construction (each drawn from a shrinking
-    # unvisited pool), so no distinct() is needed
-    return total_extra, iters
+    return _minus(region, answer), iters
+
+
+def _minus(region: DataFrame, answer: DataFrame) -> DataFrame:
+    """``region`` without the answer's tuples (the answer is broadcast)."""
+    return region.join(F.broadcast(answer.select(TID)), TID, "left_anti")

@@ -2,8 +2,10 @@
 
 The paper updates the original dataset after each query with a
 left-outer-join between the dataset and the fixed tuples.  We do the same at
-the DataFrame level, keyed on ``__tid``: repaired candidate cells replace the
-old candidate cells (repairs are full recomputations — see
+the DataFrame level, keyed on ``__tid``, as one broadcast left join with a
+single delta frame: one row per changed tuple, carrying its repaired
+candidate cells and its per-rule checked flags.  Repaired candidate cells
+replace the old candidate cells (repairs are full recomputations — see
 :mod:`repro.core.repair`), provenance base columns are never touched, and
 per-rule checked markers are OR-merged.
 
@@ -17,40 +19,26 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.prob import TID, CAND_SUFFIX, checked_col
+from repro.core.prob import CAND_SUFFIX, CHECKED_PREFIX, TID
 
 
-def apply_repairs(
-    dataset: DataFrame,
-    fixes: DataFrame | None,
-    checked: dict[str, DataFrame] | None = None,
-) -> DataFrame:
-    """Merge ``fixes`` (tid + ``*__cands``) and checked-tid sets into ``dataset``.
+def apply_repairs(dataset: DataFrame, delta: DataFrame) -> DataFrame:
+    """Merge ``delta`` into ``dataset``; returns the updated (checkpointed) dataset.
 
-    ``checked`` maps rule name → DataFrame of tids whose group examination
-    finished this round.  Returns the updated (checkpointed) dataset.
+    ``delta`` has one row per changed tid: ``TID``, any ``<attr>__cands``
+    columns (a null cell keeps the old candidates) and any
+    ``__checked__<rule>`` flags (true marks the tuple's group as examined).
+    It is broadcast: it is bounded by a query's relaxed region, or by the
+    dirty part of the table in a full clean (conftest disables
+    auto-broadcast globally; this is an explicit small-side hint).
     """
-    out = dataset
-    if fixes is not None:
-        fix_cols = [c for c in fixes.columns if c.endswith(CAND_SUFFIX)]
-        if fix_cols:
-            renamed = fixes.select(
-                TID, *[F.col(c).alias(f"__new_{c}") for c in fix_cols]
-            )
-            # the fixes side is the dirty subset — broadcast it so the
-            # update is one pass over the dataset (conftest disables
-            # auto-broadcast globally; this is an explicit small-side hint)
-            out = out.join(F.broadcast(renamed), TID, "left")
-            for c in fix_cols:
-                out = out.withColumn(
-                    c, F.coalesce(F.col(f"__new_{c}"), F.col(c))
-                ).drop(f"__new_{c}")
-    for rule_name, tids in (checked or {}).items():
-        cc = checked_col(rule_name)
-        flag = tids.select(TID).distinct().withColumn("__hit", F.lit(True))
-        out = (
-            out.join(F.broadcast(flag), TID, "left")
-            .withColumn(cc, F.col(cc) | F.coalesce(F.col("__hit"), F.lit(False)))
-            .drop("__hit")
-        )
-    return out.localCheckpoint(eager=True)
+    cols = [c for c in delta.columns if c.endswith(CAND_SUFFIX) or c.startswith(CHECKED_PREFIX)]
+    new = delta.select(TID, *[F.col(c).alias(f"__new_{c}") for c in cols])
+    merged = {}
+    for c in cols:
+        if c.startswith(CHECKED_PREFIX):
+            merged[c] = F.col(c) | F.coalesce(F.col(f"__new_{c}"), F.lit(False))
+        else:
+            merged[c] = F.coalesce(F.col(f"__new_{c}"), F.col(c))
+    out = dataset.join(F.broadcast(new), TID, "left").withColumns(merged)
+    return out.drop(*new.columns[1:]).localCheckpoint(eager=True)

@@ -1,0 +1,46 @@
+"""Spark job budget of a query: a guard against new per-query actions.
+
+Each Spark action a query adds (a ``count()``, a checkpoint, a broadcast of
+a lazily computed side) is fixed cost the §5.2 cost model does not price.
+The jobs of one ``DaisySession.execute`` are counted exactly from a job
+group with the status tracker.
+"""
+from repro.core import prob
+from repro.core.constraints import FD
+from repro.core.daisy import DaisySession
+from repro.core.planner import Filter, Query
+
+PHI = FD(("orderkey",), "suppkey", name="phi")
+
+#: jobs of the queries below: a two-round lhs query that repairs, then the
+#: same query again, which repairs nothing and leaves the table as it is
+JOBS = {"repairs": 31, "repeat": 14}
+#: allowance for a plan shape that varies with the Spark version
+SLACK = 2
+
+
+def _execute_jobs(spark, sess, q, group):
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        sess.execute(q)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # job-start events reach the status tracker through the listener bus
+    sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_execute_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sess = DaisySession(
+        spark, {"lineorder": prob.spark_with_tid(spark, dirty)}, {"lineorder": [PHI]},
+        use_cost_model=False,
+    )
+    q = Query("lineorder", [Filter("orderkey", "between", 1, 20)])
+    got = {
+        "repairs": _execute_jobs(spark, sess, q, "job-budget-repairs"),
+        "repeat": _execute_jobs(spark, sess, q, "job-budget-repeat"),
+    }
+    assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
+    assert all(got[k] <= JOBS[k] + SLACK for k in JOBS), got

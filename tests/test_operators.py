@@ -3,9 +3,9 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import detect, operators, prob
+from repro.core import detect, operators, prob, relax
 from repro.core.constraints import FD
-from repro.core.planner import Aggregate, Filter, JoinSpec, Query
+from repro.core.planner import Aggregate, Filter, JoinSpec, Query, filter_side
 from repro.core.prob import TID, checked_col
 from repro.oracle import assert_equivalent
 
@@ -63,6 +63,81 @@ class TestCleanSigma:
         assert st2.repaired == 0
         pd.testing.assert_frame_equal(
             prob.cands_canonical(updated, "city"), prob.cands_canonical(updated2, "city")
+        )
+
+
+def _tid_set(df):
+    return {r[TID] for r in df.select(TID).collect()}
+
+
+class TestCleanSigmaTwoRules:
+    """clean_σ's counts and checked flags equal what detect computes directly."""
+
+    FA = FD(("zip",), "state", name="fa")
+    FB = FD(("city",), "state", name="fb")
+    RULES = [(FA, 2), (FB, 3)]
+
+    @pytest.fixture()
+    def two_fd(self, spark):
+        # fa: z1, z2, z3 violate; fb: LA and NY violate
+        pdf = pd.DataFrame(
+            {
+                "zip": ["z1", "z1", "z2", "z2", "z1", "z3", "z3", "z4"],
+                "city": ["LA", "LA", "SF", "LA", "LA", "NY", "NY", "SD"],
+                "state": ["CA", "CA", "CA", "WA", "NV", "NY", "NJ", "CA"],
+            }
+        )
+        d = prob.ensure_cands(prob.spark_with_tid(spark, pdf), ["zip", "city", "state"])
+        d = prob.ensure_checked(d, [self.FA.name, self.FB.name]).localCheckpoint(eager=True)
+        stats = {
+            fd.name: detect.group_stats(d, fd).localCheckpoint(eager=True)
+            for fd in (self.FA, self.FB)
+        }
+        return d, stats
+
+    @pytest.mark.parametrize(
+        "filters",
+        [[Filter("zip", "=", "z2")], [Filter("state", "=", "NJ")], [Filter("city", "=", "SD")]],
+    )
+    def test_stats_and_flags_match_detect(self, two_fd, filters):
+        d, stats = two_fd
+        fds = [self.FA, self.FB]
+        answer = operators.apply_filters(d, filters)
+        updated, st = operators.clean_sigma(d, answer, fds, self.RULES, stats, filters)
+
+        region, iters = answer, 0
+        for fd in fds:
+            extra, it = relax.relax_fd(d, answer, fd, filter_side=filter_side(fd, filters))
+            region, iters = region.unionByName(extra), max(iters, it)
+        region = region.dropDuplicates([TID]).localCheckpoint(eager=True)
+        dirty = set()
+        for fd in fds:
+            vg = detect.violating_complete_groups(region, fd, stats[fd.name])
+            dirty |= _tid_set(detect.members_of(region, fd, vg))
+        n_answer = answer.count()
+        assert st == operators.CleanStats(
+            answer=n_answer, extras=region.count() - n_answer, repaired=len(dirty),
+            relax_iters=iters,
+        )
+        for fd in fds:
+            cg = detect.complete_groups(region, fd, stats[fd.name])
+            checked = _tid_set(detect.members_of(region, fd, cg))
+            assert _tid_set(updated.where(F.col(checked_col(fd.name)))) == checked
+        assert set(prob.cands_canonical(updated, "state")["tid"]) == dirty
+
+    @pytest.mark.parametrize("relax_mode", ["lemma", "closure"])
+    def test_empty_answer(self, two_fd, relax_mode):
+        d, stats = two_fd
+        filters = [Filter("zip", "=", "nowhere")]
+        updated, st = operators.clean_sigma(
+            d, operators.apply_filters(d, filters), [self.FA, self.FB], self.RULES, stats,
+            filters, relax_mode=relax_mode,
+        )
+        assert (st.answer, st.extras, st.repaired) == (0, 0, 0)
+        if relax_mode == "closure":  # the Lemma budget still counts its rounds
+            assert st == operators.CleanStats()
+        assert sorted(updated.collect(), key=lambda r: r[TID]) == sorted(
+            d.collect(), key=lambda r: r[TID]
         )
 
 
@@ -171,3 +246,19 @@ class TestAggregateAndRunQuery:
         out = operators.run_query({"l": l, "r": r}, q)
         assert out.columns == [f"l_{TID}", f"r_{TID}", "l_k", "l_k__cands"]
         assert [tuple(x) for x in out.select(f"l_{TID}", f"r_{TID}").collect()] == [(1, 0)]
+
+    def test_join_projection_resolves_right_attribute(self, spark):
+        l = prob.spark_with_tid(spark, pd.DataFrame({"k": [1, 2]}))
+        r = prob.ensure_cands(prob.spark_with_tid(spark, pd.DataFrame({"k": [2], "b": [9.0]})), ["b"])
+        q = Query("l", project=["b"], join=JoinSpec("r", "k", "k"))
+        out = operators.run_query({"l": l, "r": r}, q)
+        assert out.columns == [f"l_{TID}", f"r_{TID}", "r_b", "r_b__cands"]
+        assert out.first()["r_b"] == 9.0
+
+    def test_projection_of_unknown_attribute_raises(self, spark):
+        l = prob.spark_with_tid(spark, pd.DataFrame({"k": [1, 2]}))
+        r = prob.spark_with_tid(spark, pd.DataFrame({"k": [2], "b": [9.0]}))
+        for q in (Query("l", project=["nope"], join=JoinSpec("r", "k", "k")),
+                  Query("l", project=["nope"])):
+            with pytest.raises(ValueError, match="'nope'"):
+                operators.run_query({"l": l, "r": r}, q)

@@ -115,3 +115,71 @@ class TestProbAwareMatching:
         A = d.where(F.col(TID).isin([0, 2]))  # zip 9001 rows
         extra, _ = relax.relax_fd(d, A, phi1, max_iter=1)
         assert 3 in _tids(extra) and 1 in _tids(extra)
+
+
+def _algorithm1_sql(pdf, where, lhs, rhs, max_iter):
+    """Algorithm 1 run literally on DuckDB; returns ``(extra tids, rounds)``.
+
+    An unvisited pool; each round takes the lhs matches, then the rhs
+    matches of the rest, against the current result's value snapshots.
+    ``max_iter=0`` runs to the first empty round, which is not counted.
+    """
+    con = duckdb.connect()
+    con.register("d", pdf.reset_index(drop=True).reset_index(names="tid"))
+    con.execute(f"CREATE TEMP TABLE cur AS SELECT * FROM d WHERE {where}")
+    con.execute("CREATE TEMP TABLE unv AS SELECT * FROM d WHERE tid NOT IN (SELECT tid FROM cur)")
+    extras: list[int] = []
+    rounds = 0
+    while max_iter == 0 or rounds < max_iter:
+        con.execute(
+            f"CREATE OR REPLACE TEMP TABLE e AS SELECT * FROM unv "
+            f"WHERE {lhs} IN (SELECT {lhs} FROM cur)"
+        )
+        con.execute(
+            f"INSERT INTO e SELECT * FROM unv WHERE tid NOT IN (SELECT tid FROM e) "
+            f"AND {rhs} IN (SELECT {rhs} FROM cur)"
+        )
+        found = [r[0] for r in con.execute("SELECT tid FROM e").fetchall()]
+        if max_iter == 0 and not found:
+            break
+        rounds += 1
+        extras += found
+        con.execute("INSERT INTO cur SELECT * FROM e")
+        con.execute("DELETE FROM unv WHERE tid IN (SELECT tid FROM e)")
+    con.close()
+    return sorted(extras), rounds
+
+
+class TestOracleRounds:
+    """Lemma 2's two rounds and the closure's round count equal Algorithm 1 on DuckDB."""
+
+    FD_SSB = FD(("orderkey",), "suppkey", name="phi")
+
+    @pytest.mark.parametrize("lo,hi", [(1, 2), (1, 10), (150, 200)])
+    def test_lhs_filter_two_rounds_match_sql(self, spark, ssb_small, lo, hi):
+        _, dirty, _ = ssb_small
+        d = prob.spark_with_tid(spark, dirty)
+        A = d.where(prob.qualifies(d, "orderkey", "between", lo, hi))
+        extra, iters = relax.relax_fd(d, A, self.FD_SSB, filter_side="lhs")
+        expected, rounds = _algorithm1_sql(
+            dirty, f"orderkey BETWEEN {lo} AND {hi}", "orderkey", "suppkey", 2
+        )
+        assert iters == rounds == 2
+        assert _tids(extra) == expected
+
+    @pytest.mark.parametrize("where", ["orderkey = 1", "suppkey = 3", "orderkey > 190"])
+    def test_closure_rounds_match_sql(self, spark, ssb_small, where):
+        _, dirty, _ = ssb_small
+        d = prob.spark_with_tid(spark, dirty)
+        extra, iters = relax.relax_fd(d, d.where(where), self.FD_SSB, max_iter=0)
+        expected, rounds = _algorithm1_sql(dirty, where, "orderkey", "suppkey", 0)
+        assert iters == rounds
+        assert _tids(extra) == expected
+
+    def test_closure_rounds_on_a_chain(self, spark):
+        # each round reaches one more link: (0,0) -lhs- (0,1) -rhs- (1,1) -lhs- (1,2) ...
+        pdf = pd.DataFrame({"k": [0, 0, 1, 1, 2, 2, 3], "s": [0, 1, 1, 2, 2, 3, 3]})
+        d = prob.spark_with_tid(spark, pdf)
+        extra, iters = relax.relax_fd(d, d.where(F.col(TID) == 0), FD(("k",), "s"), max_iter=0)
+        assert (_tids(extra), iters) == _algorithm1_sql(pdf, "tid = 0", "k", "s", 0)
+        assert iters == 6

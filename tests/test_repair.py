@@ -7,19 +7,20 @@ from pyspark.sql import functions as F
 
 from repro.core import detect, prob, repair, update
 from repro.core.constraints import FD
-from repro.core.prob import TID
+from repro.core.prob import TID, checked_col
 
 
 def _dm(df, fd):
     """All members of violating groups, mapped to the rule (test helper)."""
     st = detect.group_stats(df, fd)
-    return detect.repair_map(df, None, [fd], {fd.name: st})
+    checked = df.withColumn(checked_col(fd.name), F.lit(True))
+    return detect.repair_map(checked, [fd], {fd.name: st})
 
 
 @pytest.fixture()
 def repaired_cities(cities, phi1):
     fixes = repair.compute_repairs(cities, [(phi1, 2)], _dm(cities, phi1))
-    return update.apply_repairs(cities, fixes, {phi1.name: cities.select(TID)})
+    return update.apply_repairs(cities.withColumn(checked_col(phi1.name), F.lit(True)), fixes)
 
 
 class TestTable2b:
@@ -69,7 +70,7 @@ class TestOracleProbabilities:
         d = prob.ensure_cands(d, ["orderkey", "suppkey"])
         fd = FD(("orderkey",), "suppkey", name="phi")
         fixes = repair.compute_repairs(d, [(fd, 2)], _dm(d, fd))
-        out = update.apply_repairs(d, fixes, {})
+        out = update.apply_repairs(d, fixes)
         got = prob.cands_canonical(out, "suppkey")
         got = got[got.w == 1].merge(
             prob.spark_with_tid(spark, dirty).select(TID, "orderkey").toPandas(),
@@ -121,7 +122,7 @@ class TestMultiRuleMerge:
             dm = m if dm is None else dm.unionByName(m)
         # every dirty tuple listed under every rule it is dirty under
         fixes = repair.compute_repairs(df, rules, dm)
-        return update.apply_repairs(df, fixes, {})
+        return update.apply_repairs(df, fixes)
 
     def test_union_probabilities(self, two_rule_df):
         fa = FD(("zip",), "state", name="phi_a")
@@ -176,9 +177,11 @@ class TestUpdate:
 
     def test_second_update_preserves_other_cells(self, cities, phi1):
         fixes = repair.compute_repairs(cities, [(phi1, 2)], _dm(cities, phi1))
-        once = update.apply_repairs(cities, fixes, {})
+        once = update.apply_repairs(cities, fixes)
         # a later empty update must not clobber existing candidates
-        twice = update.apply_repairs(once, None, {phi1.name: once.select(TID).limit(1)})
+        twice = update.apply_repairs(
+            once, once.select(TID, F.lit(True).alias(checked_col(phi1.name))).limit(1)
+        )
         pd.testing.assert_frame_equal(
             prob.cands_canonical(once, "city"), prob.cands_canonical(twice, "city")
         )
