@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -30,7 +31,7 @@ from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.cost import CostModel, QueryCost
 from repro.core.planner import Filter, PlanOp, Query, build_plan
 from repro.core.prob import TID, base_attrs, checked_col, ensure_cands, ensure_checked
-from repro.core.repair_dc import dc_fixes
+from repro.core.repair_dc import count_dirty_tids, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
 
@@ -75,6 +76,7 @@ class DaisySession:
         self.cost: dict[str, CostModel] = {}
         self.fully_cleaned: set[str] = set()
         self.dc_repairs: dict[str, DataFrame] = {}
+        self._dc_pairs: dict[tuple[str, str], DataFrame] = {}
         self.records: list[QueryRecord] = []
         self.switched_at: int | None = None
         self._dc_partitions = dc_partitions
@@ -214,6 +216,16 @@ class DaisySession:
 
         ``filters`` are the query's filters on ``table`` and ``answer`` the
         size of their result.
+
+        The state of each (table, DC) is the union of the checkpointed
+        violation frames its queries detected; each matrix pair is scanned
+        once, so the union has at most one frame per query and no pair
+        twice.  A query that scans new pairs adds its frame and rebuilds
+        ``dc_repairs[table]`` as :func:`repro.core.repair_dc.dc_fixes` of
+        every pair found so far, checkpointed in one job: what the offline
+        cleaner computes once the matrix is covered.  A query that scans no
+        new pair (a repeat, or any query after a ``full`` pass) launches no
+        job here and repairs nothing.
         """
         theta = self.theta[(table, dc.name)]
         xattr = theta.x
@@ -230,18 +242,29 @@ class DaisySession:
             buckets = set(range(theta.nb))
         acc, support = theta.accuracy(buckets, max(1, answer))
         rec.dc_accuracy = acc
+        scanned = theta.pairs_scanned
         if acc < self.accuracy_threshold:
             viol = theta.detect(None)  # full cleaning (Fig 10's 20% case)
             rec.dc_mode = "full"
         else:
             viol = theta.detect(buckets)
             rec.dc_mode = "partial"
-        fixes = dc_fixes(viol, dc).localCheckpoint(eager=True)
-        prev = self.dc_repairs.get(table)
-        self.dc_repairs[table] = (
-            fixes if prev is None else prev.unionByName(fixes).localCheckpoint(eager=True)
+        if theta.pairs_scanned == scanned:
+            # no matrix pair scanned, so no violation found; the lazy empty
+            # fixes keep a ``dc_repairs`` entry for every DC-queried table
+            self.dc_repairs.setdefault(table, dc_fixes(viol, dc))
+            return
+        key = (table, dc.name)
+        prev = self._dc_pairs.get(key)
+        self._dc_pairs[key] = viol if prev is None else prev.unionByName(viol)
+        fixes = [
+            dc_fixes(self._dc_pairs[(table, d.name)], d)
+            for d in self.dc_rules[table] if (table, d.name) in self._dc_pairs
+        ]
+        self.dc_repairs[table] = reduce(DataFrame.unionByName, fixes).localCheckpoint(
+            eager=True
         )
-        rec.repaired += fixes.select("tid").distinct().count()
+        rec.repaired += count_dirty_tids(viol)
 
     # ------------------------------------------------------------------ #
     def full_clean(self, table: str) -> None:

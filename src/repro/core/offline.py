@@ -37,7 +37,7 @@ from pyspark.sql import functions as F
 from repro.core import detect, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.prob import TID, checked_col, ensure_cands, ensure_checked
-from repro.core.repair_dc import dc_fixes
+from repro.core.repair_dc import count_dirty_tids, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
 
@@ -136,7 +136,7 @@ def offline_clean(
         viol = theta.detect(None)
         fx = dc_fixes(viol, dc).localCheckpoint(eager=True)
         dc_rep = fx if dc_rep is None else dc_rep.unionByName(fx)
-        repaired += fx.select("tid").distinct().count()
+        repaired += count_dirty_tids(viol)
     return OfflineResult(
         table=out,
         seconds=time.time() - t0,

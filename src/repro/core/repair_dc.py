@@ -8,20 +8,31 @@ keep the value or move it past the partner's value with the atom's inverse
 comparison, exactly as in Example 5 (``t2`` takes salary < 2000 *or* tax
 > 0.3, 50% each).
 
-Candidates are ranges ``struct<lo, hi, p, w>`` (±inf for open sides) stored
-in ``<attr>__rcands``; a cell with multiple violating partners accumulates
-entries and the frequency-based probabilities are renormalized over the
-total number of fixes collected for that cell.
+Candidates are fix rows ``(tid, attr, lo, hi, p)`` (±inf for open sides);
+they are not merged into the table: the session keeps them in
+``DaisySession.dc_repairs`` and the offline cleaner in
+``OfflineResult.dc_repairs`` (``rcands_col`` names the column a merge would
+use).  A cell with multiple violating partners accumulates ranges, and the
+frequency-based probabilities are normalized over the number of fixes
+collected for the tuple, so the fixes are a function of the set of
+violation pairs: the session rebuilds them from every pair found so far.
+
+The violation pairs are checkpointed, so :func:`dc_fixes` and
+:func:`count_dirty_tids` run in one task over ``coalesce(1)`` of them: the
+group-by and windows need no exchange and each action is one Spark job.
 """
 from __future__ import annotations
 
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.constraints import DC
 
 INF = float("inf")
+
+#: columns of ``DaisySession.dc_repairs`` / ``OfflineResult.dc_repairs``
+FIX_COLS = ("tid", "attr", "lo", "hi", "p")
 
 
 def rcands_col(attr: str) -> str:
@@ -44,7 +55,6 @@ def dc_fixes(violations: DataFrame, dc: DC) -> DataFrame:
     inverted-atom ranges with frequency probabilities.
     """
     ax, ay = dc.atoms[0], dc.atoms[1]
-    rows = []
     # For tuple t1: invert atom-x (x1 gets the range ¬opx w.r.t. x2) or
     # invert atom-y; symmetrically for t2 with the ops' mirror side.
     per_side = []
@@ -72,17 +82,32 @@ def dc_fixes(violations: DataFrame, dc: DC) -> DataFrame:
         out = piece if out is None else out.unionByName(piece)
     # frequency-based probabilities over the *tuple's* possible fixes
     # (Example 5: two possible fixes → 50% each); the cell's keep-option
-    # carries the complement of its range-fix mass
-    counts = out.groupBy("tid", "attr", "own", "lo", "hi").agg(F.count("*").alias("__c"))
-    totals = counts.groupBy("tid").agg(F.sum("__c").alias("__t"))
-    ranges = counts.join(totals, "tid").select(
-        "tid", "attr", "own", "lo", "hi", (F.col("__c") / F.col("__t")).alias("p")
+    # carries the complement of its range-fix mass.  Both come from integer
+    # counts, so the same pairs give the same probabilities in any order.
+    counts = out.coalesce(1).groupBy("tid", "attr", "own", "lo", "hi").count()
+    cell = Window.partitionBy("tid", "attr")
+    rows = counts.withColumns({
+        "__t": F.sum("count").over(Window.partitionBy("tid")),
+        "__s": F.sum("count").over(cell),
+        "__first": F.row_number().over(cell.orderBy("lo", "hi")) == 1,
+    })
+    rng = F.struct("lo", "hi", (F.col("count") / F.col("__t")).alias("p"))
+    keep = F.struct(
+        F.col("own").alias("lo"),
+        F.col("own").alias("hi"),
+        ((F.col("__t") - F.col("__s")) / F.col("__t")).alias("p"),
     )
-    keep_mass = ranges.groupBy("tid", "attr", "own").agg(
-        (1.0 - F.sum("p")).alias("p")
+    opts = F.when(
+        F.col("__first") & (F.col("__t") > F.col("__s")), F.array(rng, keep)
+    ).otherwise(F.array(rng))
+    return rows.select("tid", "attr", F.explode(opts).alias("__o")).select(
+        "tid", "attr", "__o.lo", "__o.hi", "__o.p"
     )
-    keeps = keep_mass.select(
-        "tid", "attr", F.col("own"), F.col("own").alias("lo"), F.col("own").alias("hi"), "p"
-    ).where(F.col("p") > 1e-12)
-    return ranges.unionByName(keeps).drop("own")
 
+
+def count_dirty_tids(violations: DataFrame) -> int:
+    """Distinct tids of a violation-pair frame, counted in one task."""
+    tids = violations.select(F.col("tid1").alias("tid")).unionByName(
+        violations.select(F.col("tid2").alias("tid"))
+    )
+    return tids.coalesce(1).agg(F.count_distinct("tid")).first()[0]

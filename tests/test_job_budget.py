@@ -5,16 +5,25 @@ a lazily computed side) is fixed cost the §5.2 cost model does not price.
 The jobs of one ``DaisySession.execute`` are counted exactly from a job
 group with the status tracker.
 """
+import numpy as np
+import pandas as pd
+
 from repro.core import prob
-from repro.core.constraints import FD
+from repro.core.constraints import DC, FD, Atom
 from repro.core.daisy import DaisySession
 from repro.core.planner import Filter, Query
+from repro.datagen.errors import inject_dc_errors, monotone_discount
 
 PHI = FD(("orderkey",), "suppkey", name="phi")
+PRICE_DC = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dc")
 
 #: jobs of the queries below: a two-round lhs query that repairs, then the
 #: same query again, which repairs nothing and leaves the table as it is
 JOBS = {"repairs": 31, "repeat": 14}
+#: jobs of a DC range query (answer count 2, detection, fixes, repaired
+#: count), then of the same query again, which scans no new matrix pair and
+#: only counts its answer
+DC_JOBS = {"dc": 5, "dc-repeat": 2}
 #: allowance for a plan shape that varies with the Spark version
 SLACK = 2
 
@@ -44,3 +53,21 @@ def test_execute_job_budget(spark, ssb_small):
     }
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= JOBS[k] + SLACK for k in JOBS), got
+
+
+def test_execute_dc_job_budget(spark):
+    g = np.random.default_rng(3)
+    pdf = pd.DataFrame({"extendedprice": (g.random(300) * 5000).round(0)})
+    pdf["discount"] = monotone_discount(pdf["extendedprice"].to_numpy(), levels=15)
+    dirty, _ = inject_dc_errors(pdf, "extendedprice", "discount", frac_rows=0.03, seed=4)
+    sess = DaisySession(
+        spark, {"t": prob.spark_with_tid(spark, dirty)}, {"t": [PRICE_DC]},
+        use_cost_model=False, dc_partitions=16,
+    )
+    q = Query("t", [Filter("extendedprice", "between", 0.0, 2500.0)])
+    got = {
+        "dc": _execute_jobs(spark, sess, q, "job-budget-dc"),
+        "dc-repeat": _execute_jobs(spark, sess, q, "job-budget-dc-repeat"),
+    }
+    assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
+    assert all(got[k] <= DC_JOBS[k] + SLACK for k in DC_JOBS), got
