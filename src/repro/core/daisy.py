@@ -23,14 +23,21 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import detect, operators, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.cost import CostModel, QueryCost
 from repro.core.planner import Filter, PlanOp, Query, build_plan
-from repro.core.prob import TID, base_attrs, checked_col, ensure_cands, ensure_checked
+from repro.core.prob import (
+    CAND_SUFFIX,
+    TID,
+    base_attrs,
+    checked_col,
+    ensure_cands,
+    ensure_checked,
+)
 from repro.core.repair_dc import count_dirty_tids, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
@@ -71,7 +78,7 @@ class DaisySession:
         self.tables: dict[str, DataFrame] = {}
         self.fd_rules: dict[str, list[tuple[FD, int]]] = {}
         self.dc_rules: dict[str, list[DC]] = {}
-        self.stats: dict[str, dict[str, DataFrame]] = {}
+        self.rule_tables: dict[str, repair.RuleTables] = {}
         self.theta: dict[tuple[str, str], ThetaJoinCleaner] = {}
         self.cost: dict[str, CostModel] = {}
         self.fully_cleaned: set[str] = set()
@@ -87,16 +94,19 @@ class DaisySession:
             self.tables[name] = df
             self.fd_rules[name] = []
             self.dc_rules[name] = []
-            self.stats[name] = {}
+            self.rule_tables[name] = repair.RuleTables()
             self.add_rules(name, rules.get(name, []))
 
     # ------------------------------------------------------------------ #
     def add_rules(self, table: str, new_rules: list[Rule]) -> None:
         """Register rules; precompute statistics (§6) and the cost model.
 
-        Called again later, this is Table 7's incremental rule arrival:
-        detection for the new rule runs over provenance values and merging
-        with existing candidates happens lazily at repair time.
+        The statistics pass also counts each FD's candidate distributions
+        (:func:`repro.core.repair.build_tables`).  Called again later, this
+        is Table 7's incremental rule arrival: only the new rule's tables
+        (and the joint tables of the rules sharing its rhs) are built,
+        detection for it runs over provenance values, and merging with
+        existing candidates happens at repair time.
         """
         df = self.tables[table]
         for r in as_rules(new_rules):
@@ -105,22 +115,23 @@ class DaisySession:
                 self.fd_rules[table].append((r, world))
                 df = ensure_cands(df, [a for a in r.attrs if len(r.lhs) == 1 or a == r.rhs])
                 df = ensure_checked(df, [r.name])
-                self.stats[table][r.name] = detect.group_stats(df, r).localCheckpoint(eager=True)
             else:
                 self.dc_rules[table].append(r)
                 self.theta[(table, r.name)] = ThetaJoinCleaner(
                     df, r, partitions=self._dc_partitions
                 )
         self.tables[table] = df.localCheckpoint(eager=True)
+        fds = [fd for fd, _w in self.fd_rules[table]]
+        tables = repair.build_tables(self.tables[table], fds, self.rule_tables[table])
         # cost model over the union of FD rules of this table: ε and p come
         # from the precomputed lhs and rhs group-bys (§5.2.3)
         n = self.tables[table].count()
         eps, groups, p = 0, 0, 0.0
-        for fd, _w in self.fd_rules[table]:
-            g, t, pp = detect.dirty_group_summary(self.stats[table][fd.name])
+        for fd in fds:
+            g, t, pp = detect.dirty_group_summary(tables.stats[fd.name])
             eps += t
             groups += g
-            p = max(p, pp, detect.rhs_domain_stat(self.tables[table], fd))
+            p = max(p, pp, repair.lhs_per_rhs(tables, fd))
         avg_group = eps / groups if groups else 10.0
         self.cost[table] = CostModel(
             n=n,
@@ -168,7 +179,7 @@ class DaisySession:
         if q.join is None:
             t = q.table
             self.tables[t], st = operators.clean_side(
-                self.tables[t], q.filters, fds[t], self.fd_rules[t], self.stats[t],
+                self.tables[t], q.filters, fds[t], self.fd_rules[t], self.rule_tables[t],
                 relax_mode=self.relax_mode,
             )
             side_stats = {t: st}
@@ -176,7 +187,7 @@ class DaisySession:
             lt, rt = q.table, q.join.right_table
             self.tables[lt], self.tables[rt], _joined, lst, rst = operators.clean_join(
                 self.tables[lt], self.tables[rt], q, fds[lt], fds[rt],
-                self.fd_rules[lt], self.fd_rules[rt], self.stats[lt], self.stats[rt],
+                self.fd_rules[lt], self.fd_rules[rt], self.rule_tables[lt], self.rule_tables[rt],
                 relax_mode=self.relax_mode,
             )
             side_stats = {lt: lst, rt: rst}
@@ -215,7 +226,12 @@ class DaisySession:
         """Incremental theta-join cleaning with the Alg. 2 accuracy gate.
 
         ``filters`` are the query's filters on ``table`` and ``answer`` the
-        size of their result.
+        size of their result.  Each filter on the DC's bucketing attribute
+        (``=``, ``in``, ``between``, ``<``, ``<=``, ``>``, ``>=``) narrows the
+        matrix buckets to the ones its values can fall in; the filters are a
+        conjunction, so the query's buckets are the intersection.  Filters
+        on other attributes, and ``!=``, leave every bucket in: the answer's
+        bucketing values are then unknown without a scan.
 
         The state of each (table, DC) is the union of the checkpointed
         violation frames its queries detected; each matrix pair is scanned
@@ -228,18 +244,10 @@ class DaisySession:
         job here and repairs nothing.
         """
         theta = self.theta[(table, dc.name)]
-        xattr = theta.x
-        buckets: set[int] = set()
+        buckets = set(range(theta.nb))
         for f in filters:
-            if f.attr != xattr:
-                continue
-            if f.op == "between":
-                lo, hi = theta.bucket_of(float(f.value)), theta.bucket_of(float(f.value2))
-                buckets |= set(range(lo, hi + 1))
-            elif f.op == "=":
-                buckets.add(theta.bucket_of(float(f.value)))
-        if not buckets:
-            buckets = set(range(theta.nb))
+            if f.attr == theta.x:
+                buckets &= _filter_buckets(theta, f)
         acc, support = theta.accuracy(buckets, max(1, answer))
         rec.dc_accuracy = acc
         scanned = theta.pairs_scanned
@@ -279,22 +287,23 @@ class DaisySession:
         rules = self.fd_rules[table]
         if rules:
             fds = [fd for fd, _w in rules]
-            todo = None
-            for fd in fds:
-                unchecked = (
-                    df.where(~F.col(checked_col(fd.name)))
-                    .join(F.broadcast(detect.violating_groups(self.stats[table][fd.name], fd)),
-                          list(fd.lhs), "leftsemi")
-                    .select(TID)
+            tables = self.rule_tables[table]
+            # the rows of a violating group not yet checked under its rule
+            rows, todo = df, []
+            for i, fd in enumerate(fds):
+                vg = detect.violating_groups(tables.stats[fd.name], fd)
+                rows = rows.join(
+                    F.broadcast(vg.withColumn(f"__vg{i}", F.lit(True))), list(fd.lhs), "left"
                 )
-                todo = unchecked if todo is None else todo.unionByName(unchecked)
+                todo.append(~F.col(checked_col(fd.name)) & F.col(f"__vg{i}").isNotNull())
+            rows = rows.where(reduce(Column.__or__, todo)).select(*df.columns)
             # the full clean examines every group of every rule
-            df = df.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
-            full_map = detect.repair_map(
-                df.join(todo, TID, "leftsemi"), fds, self.stats[table]
+            checked = {checked_col(fd.name): F.lit(True) for fd in fds}
+            fixes = repair.compute_repairs(rows.withColumns(checked), rules, tables)
+            cells = [c for c in fixes.columns if c.endswith(CAND_SUFFIX)]
+            self.tables[table] = update.apply_repairs(
+                df.withColumns(checked), fixes.select(TID, *cells)
             )
-            fixes = repair.compute_repairs(df, rules, full_map)
-            self.tables[table] = update.apply_repairs(df, fixes)
         self.fully_cleaned.add(table)
 
     # ------------------------------------------------------------------ #
@@ -304,3 +313,19 @@ class DaisySession:
 
     def total_seconds(self) -> float:
         return sum(r.seconds for r in self.records)
+
+
+def _filter_buckets(theta: ThetaJoinCleaner, f: Filter) -> set[int]:
+    """The matrix buckets the values passing ``f`` (on ``theta.x``) fall in."""
+    last = theta.nb - 1
+    if f.op == "=":
+        return {theta.bucket_of(float(f.value))}
+    if f.op == "in":
+        return {theta.bucket_of(float(v)) for v in f.value}
+    if f.op == "between":
+        return set(range(theta.bucket_of(float(f.value)), theta.bucket_of(float(f.value2)) + 1))
+    if f.op in ("<", "<="):
+        return set(range(theta.bucket_of(float(f.value)) + 1))
+    if f.op in (">", ">="):
+        return set(range(theta.bucket_of(float(f.value)), last + 1))
+    return set(range(last + 1))

@@ -8,10 +8,11 @@ same fixed point as offline cleaning.
 
 ``group_stats`` is the statistics precomputation of §6 ("Daisy collects
 statistics by pre-computing the size of the erroneous groups"): per lhs
-group its size and distinct-rhs count.  It powers (a) pruning — skip
-detection for values outside the dirty list (Fig 9 discussion), (b) the
-ε and p estimates of the §5.2.3 cost inequality, and (c) the group-
-completeness check that scope-limited relaxation needs.
+group its size, distinct-rhs count and rhs value counts.  It powers (a)
+pruning — skip detection for values outside the dirty list (Fig 9
+discussion), (b) the ε and p estimates of the §5.2.3 cost inequality,
+(c) the group-completeness check that scope-limited relaxation needs, and
+(d) the candidate tables of :mod:`repro.core.repair`.
 """
 from __future__ import annotations
 
@@ -19,35 +20,31 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.constraints import FD
-from repro.core.prob import TID, checked_col
+from repro.core.prob import checked_col
+
+
+#: column of :func:`group_stats`: the group's rhs value counts,
+#: ``array<struct<v: rhs value, c: rows>>`` (world 1 of :mod:`repro.core.repair`)
+RHS_COUNTS = "rhs_counts"
 
 
 def group_stats(dataset: DataFrame, fd: FD) -> DataFrame:
     """Per-lhs-group statistics over provenance values.
 
-    Columns: ``<lhs cols>..., group_size, n_rhs`` where ``n_rhs`` is the
-    number of distinct rhs values (``n_rhs > 1`` ⇔ the group violates).
+    Columns: ``<lhs cols>..., group_size, n_rhs, rhs_counts`` where
+    ``n_rhs`` is the number of distinct rhs values (``n_rhs > 1`` ⇔ the
+    group violates) and ``rhs_counts`` the rows per rhs value, from which
+    repair reads ``P(rhs | lhs)``.  One pass over the data: a group-by on
+    the (lhs, rhs) value pairs, then one on the lhs.
     """
-    return dataset.groupBy(*fd.lhs).agg(
-        F.count("*").alias("group_size"),
-        F.countDistinct(fd.rhs).alias("n_rhs"),
+    pairs = dataset.groupBy(*fd.lhs, fd.rhs).agg(F.count("*").alias("__c"))
+    return pairs.groupBy(*fd.lhs).agg(
+        F.sum("__c").alias("group_size"),
+        F.count(fd.rhs).alias("n_rhs"),
+        F.collect_list(F.struct(F.col(fd.rhs).alias("v"), F.col("__c").alias("c"))).alias(
+            RHS_COUNTS
+        ),
     )
-
-
-def rhs_domain_stat(dataset: DataFrame, fd: FD) -> float:
-    """Avg distinct lhs values per rhs value (§5.2.3's p via the rhs group-by).
-
-    This is the size of the *lhs-side* candidate domain an erroneous cell
-    acquires (world 2): when the rhs has low selectivity, each rhs value
-    co-occurs with many lhs values and p explodes (Figs 6-7 discussion).
-    """
-    row = (
-        dataset.groupBy(fd.rhs)
-        .agg(F.countDistinct(*fd.lhs).alias("__d"))
-        .agg(F.avg("__d"))
-        .first()
-    )
-    return float(row[0] or 0.0)
 
 
 def dirty_group_summary(stats: DataFrame) -> tuple[int, int, float]:
@@ -114,22 +111,3 @@ def members_of(region: DataFrame, fd: FD, groups: DataFrame) -> DataFrame:
 def violating_groups(stats: DataFrame, fd: FD) -> DataFrame:
     """The lhs keys of the violating groups of ``fd`` (``n_rhs > 1``)."""
     return stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
-
-
-def repair_map(rows: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame]) -> DataFrame:
-    """The ``(TID, rule_name)`` pairs repair merges the worlds of (§4.3).
-
-    Each tuple of ``rows`` (the tuples to repair) is listed under every rule
-    whose group it was checked in (its ``__checked__<rule>`` flag, set
-    earlier or by the caller) and whose violating group contains it, so a
-    tuple repaired now re-merges the worlds of the rules it is already
-    known-dirty under.  A full clean sets every flag first.  The
-    violating-group keys are broadcast (one row per distinct lhs value).
-    """
-    out = None
-    for fd in fds:
-        vg = F.broadcast(violating_groups(stats_by_rule[fd.name], fd))
-        pairs = rows.where(F.col(checked_col(fd.name))).join(vg, list(fd.lhs), "leftsemi")
-        pairs = pairs.select(TID).withColumn("rule_name", F.lit(fd.name))
-        out = pairs if out is None else out.unionByName(pairs)
-    return out

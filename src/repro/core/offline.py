@@ -36,7 +36,7 @@ from pyspark.sql import functions as F
 
 from repro.core import detect, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
-from repro.core.prob import TID, checked_col, ensure_cands, ensure_checked
+from repro.core.prob import CAND_SUFFIX, TID, checked_col, ensure_cands, ensure_checked
 from repro.core.repair_dc import count_dirty_tids, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
@@ -73,19 +73,23 @@ def offline_clean(
     out = ensure_cands(df, sorted({a for fd in fds for a in (fd.attrs if fd.single_lhs else {fd.rhs})}))
     out = ensure_checked(out, [fd.name for fd in fds]).localCheckpoint(eager=True)
 
-    stats = {fd.name: detect.group_stats(out, fd).localCheckpoint(eager=True) for fd in fds}
+    tables = repair.build_tables(out, fds)
     passes = 0
     repaired = 0
     timed_out = False
     if fds:
-        # a full clean examines every group of every rule; the full dirty
-        # map lists every member of every violating group under every rule
-        # it is dirty under
+        # a full clean examines every group of every rule: every member of
+        # a violating group is repaired under every rule it is dirty under
         out = out.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
-        dm = detect.repair_map(out, fds, stats).localCheckpoint(eager=True)
-        repaired = dm.select(TID).distinct().count()
+
+        def fixes_of(rows: DataFrame) -> DataFrame:
+            fixed = repair.compute_repairs(rows, fd_worlds, tables)
+            cells = [c for c in fixed.columns if c.endswith(CAND_SUFFIX)]
+            return fixed.select(TID, *cells).localCheckpoint(eager=True)
+
         if mode == "vectorized":
-            fixes = repair.compute_repairs(out, fd_worlds, dm)
+            fixes = fixes_of(out)
+            repaired = fixes.count()
             out = update.apply_repairs(out, fixes)
             passes = 1
         elif mode == "per_group":
@@ -95,7 +99,7 @@ def offline_clean(
             for fd in fds:
                 dirty_keys = [
                     tuple(r[a] for a in fd.lhs)
-                    for r in detect.violating_groups(stats[fd.name], fd).collect()
+                    for r in detect.violating_groups(tables.stats[fd.name], fd).collect()
                 ]
                 for i in range(0, len(dirty_keys), batch_size):
                     if time_budget is not None and time.time() - t0 > time_budget:
@@ -109,13 +113,9 @@ def offline_clean(
                             c = F.col(a) == F.lit(v)
                             kc = c if kc is None else (kc & c)
                         cond = kc if cond is None else (cond | kc)
-                    # cross-rule membership so merged worlds stay correct
-                    batch_map = dm.join(out.where(cond).select(TID), TID, "leftsemi")
-                    fix_frames.append(
-                        repair.compute_repairs(out, fd_worlds, batch_map).localCheckpoint(
-                            eager=True
-                        )
-                    )
+                    # the lookup merges the worlds of every rule a row is
+                    # dirty under, not only this batch's
+                    fix_frames.append(fixes_of(out.where(cond)))
                     passes += 1
                 if timed_out:
                     break
@@ -125,7 +125,8 @@ def offline_clean(
                     fixes = fixes.unionByName(f)
                 # a tuple may be repaired in several batches (one per rule);
                 # repairs are full recomputations, keep one row per tid
-                fixes = fixes.dropDuplicates([TID])
+                fixes = fixes.dropDuplicates([TID]).localCheckpoint(eager=True)
+                repaired = fixes.count()
                 out = update.apply_repairs(out, fixes)
         else:
             raise ValueError(f"unknown mode {mode!r}")

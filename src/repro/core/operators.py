@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 from repro.core import detect, relax, repair, update
 from repro.core.constraints import FD
 from repro.core.planner import Aggregate, Filter, Query, filter_side
-from repro.core.prob import TID, cands_col, checked_col, prob_equijoin, qualifies
+from repro.core.prob import CAND_SUFFIX, TID, cands_col, checked_col, prob_equijoin, qualifies
 
 
 @dataclass
@@ -51,7 +51,7 @@ def clean_sigma(
     answer: DataFrame,
     fds: list[FD],
     all_rules: list[tuple[FD, int]],
-    stats_by_rule: dict[str, DataFrame],
+    tables: repair.RuleTables,
     filters: list[Filter],
     *,
     relax_mode: str = "lemma",
@@ -61,13 +61,14 @@ def clean_sigma(
     Returns ``(updated_dataset, stats)``.  ``fds`` (non-empty) are the rules
     relevant to this query; ``all_rules`` every (rule, world) pair the
     session knows — needed because repairing a tuple under a new rule
-    re-merges the worlds of every rule it is dirty under (§4.3 / Lemma 4).
+    re-merges the worlds of every rule it is dirty under (§4.3 / Lemma 4);
+    ``tables`` their statistics and candidate tables.
 
     Each phase is one pass: relaxation grows the region (one checkpoint per
     round), detection puts each rule's group facts on the region rows as
-    flags (one checkpoint), one aggregate counts them, and the update is
-    one broadcast join.  With no repair and no newly checked group the
-    dataset is returned as it is.
+    flags (one checkpoint), one aggregate counts them, repair looks up the
+    dirty rows' cells, and the update is one broadcast join.  With no
+    repair and no newly checked group the dataset is returned as it is.
     """
     st = CleanStats()
     region = answer.withColumn(IN_ANSWER, F.lit(True))
@@ -81,7 +82,7 @@ def clean_sigma(
         # the extras of different rules overlap (none overlaps the answer)
         region = region.dropDuplicates([TID])
 
-    flagged = _detect(region, fds, stats_by_rule).localCheckpoint(eager=True)
+    flagged = _detect(region, fds, tables.stats).localCheckpoint(eager=True)
     # one task over the checkpointed region: no shuffle stage for the counts
     row = flagged.coalesce(1).agg(
         F.count("*").alias("region"), *[F.count_if(c).alias(c) for c in (IN_ANSWER, DIRTY, CHANGED)]
@@ -91,13 +92,13 @@ def clean_sigma(
     if row[CHANGED] == 0:
         return dataset, st
 
-    delta = flagged.where(F.col(CHANGED)).select(TID, *[checked_col(fd.name) for fd in fds])
+    keep = [TID, *[checked_col(fd.name) for fd in fds]]
+    delta = flagged.where(F.col(CHANGED) & ~F.col(DIRTY)).select(*keep)
     if st.repaired:
-        rules = [fd for fd, _w in all_rules]
-        dirty_map = detect.repair_map(flagged.where(F.col(DIRTY)), rules, stats_by_rule)
-        fixes = repair.compute_repairs(dataset, all_rules, dirty_map)
-        # the fixes are the dirty part of the region
-        delta = delta.join(F.broadcast(fixes), TID, "left")
+        # the dirty rows are changed rows too; they also carry their cells
+        fixed = repair.compute_repairs(flagged.where(F.col(DIRTY)), all_rules, tables)
+        cells = [c for c in fixed.columns if c.endswith(CAND_SUFFIX)]
+        delta = fixed.select(*keep, *cells).unionByName(delta, allowMissingColumns=True)
     return update.apply_repairs(dataset, delta), st
 
 
@@ -131,7 +132,7 @@ def clean_side(
     filters: list[Filter],
     fds: list[FD],
     all_rules: list[tuple[FD, int]],
-    stats_by_rule: dict[str, DataFrame],
+    tables: repair.RuleTables,
     *,
     relax_mode: str = "lemma",
 ) -> tuple[DataFrame, CleanStats]:
@@ -144,9 +145,7 @@ def clean_side(
     answer = apply_filters(dataset, filters)
     if not fds:
         return dataset, CleanStats(answer=answer.count())
-    return clean_sigma(
-        dataset, answer, fds, all_rules, stats_by_rule, filters, relax_mode=relax_mode
-    )
+    return clean_sigma(dataset, answer, fds, all_rules, tables, filters, relax_mode=relax_mode)
 
 
 def clean_join(
@@ -157,8 +156,8 @@ def clean_join(
     right_rules: list[FD],
     left_all: list[tuple[FD, int]],
     right_all: list[tuple[FD, int]],
-    left_stats: dict[str, DataFrame],
-    right_stats: dict[str, DataFrame],
+    left_tables: repair.RuleTables,
+    right_tables: repair.RuleTables,
     *,
     relax_mode: str = "lemma",
 ) -> tuple[DataFrame, DataFrame, DataFrame, CleanStats, CleanStats]:
@@ -174,10 +173,10 @@ def clean_join(
     """
     assert q.join is not None
     left_updated, lst = clean_side(
-        left_dataset, q.filters, left_rules, left_all, left_stats, relax_mode=relax_mode
+        left_dataset, q.filters, left_rules, left_all, left_tables, relax_mode=relax_mode
     )
     right_updated, rst = clean_side(
-        right_dataset, q.join.right_filters, right_rules, right_all, right_stats,
+        right_dataset, q.join.right_filters, right_rules, right_all, right_tables,
         relax_mode=relax_mode,
     )
     # re-extract the (possibly grown) qualifying parts from the updated

@@ -199,6 +199,16 @@ class TestCostModelSwitch:
             prob.cands_canonical(t, "suppkey"), prob.cands_canonical(off.table, "suppkey")
         )
 
+    def test_p_is_the_larger_candidate_domain(self, spark, ssb_small):
+        # §5.2.3's p: avg distinct rhs per violating lhs group, or avg
+        # distinct lhs per rhs value (the world-2 table), whichever is larger
+        _, dirty, _ = ssb_small
+        sess = _fresh(spark, prob.spark_with_tid(spark, dirty), use_cost_model=True)
+        n_rhs = dirty.groupby("orderkey")["suppkey"].nunique()
+        n_lhs = dirty.groupby("suppkey")["orderkey"].nunique()
+        assert n_lhs.mean() > n_rhs[n_rhs > 1].mean()
+        assert sess.cost["lineorder"].p == pytest.approx(n_lhs.mean(), rel=1e-12)
+
     def test_no_switch_with_huge_safety(self, spark, small_session_inputs):
         sess = _fresh(spark, small_session_inputs, use_cost_model=True, cost_safety=1e9)
         sess.execute(Query("lineorder", [Filter("suppkey", "=", 1)])).count()
@@ -280,3 +290,46 @@ class TestJoinQueries:
         r.count()
         assert sess.records[0].dc_mode in ("partial", "full")
         assert "t" in sess.dc_repairs
+
+
+PRICE = "extendedprice"
+
+
+class TestDCFilterBuckets:
+    """Inequality filters on the DC's bucketing attribute narrow the matrix."""
+
+    @pytest.fixture(scope="class")
+    def table(self, spark):
+        import numpy as np
+
+        from repro.datagen.errors import inject_dc_errors, monotone_discount
+
+        g = np.random.default_rng(3)
+        pdf = pd.DataFrame({"extendedprice": (g.random(300) * 5000).round(0)})
+        pdf["discount"] = monotone_discount(pdf["extendedprice"].to_numpy(), levels=15)
+        dirty, _ = inject_dc_errors(pdf, "extendedprice", "discount", frac_rows=0.03, seed=4)
+        return prob.spark_with_tid(spark, dirty)
+
+    def _run(self, spark, table, f):
+        dc = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dcr")
+        sess = DaisySession(
+            spark, {"t": table}, {"t": [dc]}, use_cost_model=False, dc_partitions=16,
+            accuracy_threshold=0.0,
+        )
+        sess.execute(Query("t", [f])).count()
+        rows = sess.dc_repairs["t"].toPandas().sort_values(["tid", "attr", "lo", "hi"])
+        return sess.theta[("t", "dcr")].pairs_scanned, rows.reset_index(drop=True)
+
+    @pytest.mark.parametrize(
+        "f, same",
+        [
+            (Filter(PRICE, "<=", 2000.0), Filter(PRICE, "between", 0.0, 2000.0)),
+            (Filter(PRICE, ">", 3000.0), Filter(PRICE, "between", 3000.0, 5000.0)),
+        ],
+    )
+    def test_inequality_scans_like_between(self, spark, table, f, same):
+        pairs, rows = self._run(spark, table, f)
+        pairs_b, rows_b = self._run(spark, table, same)
+        all_pairs, _ = self._run(spark, table, Filter("discount", ">=", 0.0))
+        assert pairs == pairs_b < all_pairs
+        pd.testing.assert_frame_equal(rows, rows_b)

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import detect, prob
+from repro.core import detect, prob, repair
 from repro.core.constraints import FD
 from repro.core.prob import TID, checked_col
 
@@ -76,10 +76,8 @@ class TestViolatingGroups:
         assert sorted(r[TID] for r in m.collect()) == [0, 1, 2]
 
     def test_violating_tids_offline_scope(self, cities, phi1):
-        st = detect.group_stats(cities, phi1)
-        tids = detect.repair_map(
-            cities.withColumn(checked_col(phi1.name), F.lit(True)), [phi1], {phi1.name: st}
-        )
+        rows = cities.withColumn(checked_col(phi1.name), F.lit(True))
+        tids = repair.compute_repairs(rows, [(phi1, 2)], repair.build_tables(cities, [phi1]))
         assert sorted(r[TID] for r in tids.collect()) == [0, 1, 2, 3, 4]
 
     def test_clean_group_not_violating(self, spark):

@@ -2,8 +2,9 @@
 
 Each Spark action a query adds (a ``count()``, a checkpoint, a broadcast of
 a lazily computed side) is fixed cost the §5.2 cost model does not price.
-The jobs of one ``DaisySession.execute`` are counted exactly from a job
-group with the status tracker.
+The jobs of one ``DaisySession.execute`` (and of one offline clean, which
+runs the same repair) are counted exactly from a job group with the status
+tracker.
 """
 import numpy as np
 import pandas as pd
@@ -11,6 +12,7 @@ import pandas as pd
 from repro.core import prob
 from repro.core.constraints import DC, FD, Atom
 from repro.core.daisy import DaisySession
+from repro.core.offline import offline_clean
 from repro.core.planner import Filter, Query
 from repro.datagen.errors import inject_dc_errors, monotone_discount
 
@@ -19,7 +21,9 @@ PRICE_DC = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dc")
 
 #: jobs of the queries below: a two-round lhs query that repairs, then the
 #: same query again, which repairs nothing and leaves the table as it is
-JOBS = {"repairs": 31, "repeat": 14}
+JOBS = {"repairs": 18, "repeat": 14}
+#: jobs of a vectorized offline clean of the same table under φ
+OFFLINE_JOBS = 13
 #: jobs of a DC range query (answer count 2, detection, fixes, repaired
 #: count), then of the same query again, which scans no new matrix pair and
 #: only counts its answer
@@ -29,10 +33,14 @@ SLACK = 2
 
 
 def _execute_jobs(spark, sess, q, group):
+    return _jobs(spark, group, lambda: sess.execute(q))
+
+
+def _jobs(spark, group, run):
     sc = spark.sparkContext
     sc.setJobGroup(group, group)
     try:
-        sess.execute(q)
+        run()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     # job-start events reach the status tracker through the listener bus
@@ -71,3 +79,12 @@ def test_execute_dc_job_budget(spark):
     }
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= DC_JOBS[k] + SLACK for k in DC_JOBS), got
+
+
+def test_offline_clean_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    df = prob.spark_with_tid(spark, dirty)
+    got = _jobs(
+        spark, "job-budget-offline", lambda: offline_clean(df, [PHI], mode="vectorized")
+    )
+    assert got <= OFFLINE_JOBS + SLACK, got

@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import detect, operators, prob, relax
+from repro.core import detect, operators, prob, relax, repair
 from repro.core.constraints import FD
 from repro.core.planner import Aggregate, Filter, JoinSpec, Query, filter_side
 from repro.core.prob import TID, checked_col
@@ -27,13 +27,13 @@ class TestCleanSigma:
         A = cities.where(prob.qualifies(cities, "city", "=", "Los Angeles")).localCheckpoint(
             eager=True
         )
-        stats = {phi1.name: detect.group_stats(cities, phi1).localCheckpoint(eager=True)}
+        tables = repair.build_tables(cities, [phi1])
         updated, st = operators.clean_sigma(
             cities,
             A,
             [phi1],
             [(phi1, 2)],
-            stats,
+            tables,
             [Filter("city", "=", "Los Angeles")],
             relax_mode="closure",
         )
@@ -55,9 +55,9 @@ class TestCleanSigma:
     def test_second_pass_no_new_repairs(self, cleaned, phi1):
         updated, _ = cleaned
         A = updated.where(prob.qualifies(updated, "city", "=", "New York"))
-        stats = {phi1.name: detect.group_stats(updated, phi1)}
+        tables = repair.build_tables(updated, [phi1])
         updated2, st2 = operators.clean_sigma(
-            updated, A.localCheckpoint(eager=True), [phi1], [(phi1, 2)], stats,
+            updated, A.localCheckpoint(eager=True), [phi1], [(phi1, 2)], tables,
             [Filter("city", "=", "New York")], relax_mode="closure",
         )
         assert st2.repaired == 0
@@ -89,21 +89,18 @@ class TestCleanSigmaTwoRules:
         )
         d = prob.ensure_cands(prob.spark_with_tid(spark, pdf), ["zip", "city", "state"])
         d = prob.ensure_checked(d, [self.FA.name, self.FB.name]).localCheckpoint(eager=True)
-        stats = {
-            fd.name: detect.group_stats(d, fd).localCheckpoint(eager=True)
-            for fd in (self.FA, self.FB)
-        }
-        return d, stats
+        return d, repair.build_tables(d, [self.FA, self.FB])
 
     @pytest.mark.parametrize(
         "filters",
         [[Filter("zip", "=", "z2")], [Filter("state", "=", "NJ")], [Filter("city", "=", "SD")]],
     )
     def test_stats_and_flags_match_detect(self, two_fd, filters):
-        d, stats = two_fd
+        d, tables = two_fd
+        stats = tables.stats
         fds = [self.FA, self.FB]
         answer = operators.apply_filters(d, filters)
-        updated, st = operators.clean_sigma(d, answer, fds, self.RULES, stats, filters)
+        updated, st = operators.clean_sigma(d, answer, fds, self.RULES, tables, filters)
 
         region, iters = answer, 0
         for fd in fds:
@@ -127,10 +124,10 @@ class TestCleanSigmaTwoRules:
 
     @pytest.mark.parametrize("relax_mode", ["lemma", "closure"])
     def test_empty_answer(self, two_fd, relax_mode):
-        d, stats = two_fd
+        d, tables = two_fd
         filters = [Filter("zip", "=", "nowhere")]
         updated, st = operators.clean_sigma(
-            d, operators.apply_filters(d, filters), [self.FA, self.FB], self.RULES, stats,
+            d, operators.apply_filters(d, filters), [self.FA, self.FB], self.RULES, tables,
             filters, relax_mode=relax_mode,
         )
         assert (st.answer, st.extras, st.repaired) == (0, 0, 0)
@@ -168,10 +165,9 @@ class TestCleanJoin:
             [Filter("city", "=", "Los Angeles")],
             join=JoinSpec("emp", "zip", "zip"),
         )
-        cstats = {phi1.name: detect.group_stats(c, phi1)}
-        estats = {phi2.name: detect.group_stats(e, phi2)}
         return operators.clean_join(
-            c, e, q, [phi1], [phi2], [(phi1, 2)], [(phi2, 2)], cstats, estats,
+            c, e, q, [phi1], [phi2], [(phi1, 2)], [(phi2, 2)],
+            repair.build_tables(c, [phi1]), repair.build_tables(e, [phi2]),
             relax_mode="closure",
         )
 

@@ -1,25 +1,30 @@
 """Probabilistic repair tests: Table 2b/3 exactness, oracle-checked
-conditional probabilities, and the Lemma 4 multi-rule merge."""
+conditional probabilities, the Lemma 4 multi-rule merge, and the
+value-keyed candidate tables against a tuple-set oracle."""
 import duckdb
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import detect, prob, repair, update
+from repro.core import prob, repair, update
 from repro.core.constraints import FD
+from repro.core.daisy import DaisySession
+from repro.core.planner import Filter, Query
 from repro.core.prob import TID, checked_col
 
 
-def _dm(df, fd):
-    """All members of violating groups, mapped to the rule (test helper)."""
-    st = detect.group_stats(df, fd)
-    checked = df.withColumn(checked_col(fd.name), F.lit(True))
-    return detect.repair_map(checked, [fd], {fd.name: st})
+def _fixes(df, rules):
+    """The repairs of every member of a violating group (test helper)."""
+    fds = [fd for fd, _w in rules]
+    rows = df.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
+    fixed = repair.compute_repairs(rows, rules, repair.build_tables(df, fds))
+    return fixed.select(TID, *[c for c in fixed.columns if c.endswith(prob.CAND_SUFFIX)])
 
 
 @pytest.fixture()
 def repaired_cities(cities, phi1):
-    fixes = repair.compute_repairs(cities, [(phi1, 2)], _dm(cities, phi1))
+    fixes = _fixes(cities, [(phi1, 2)])
     return update.apply_repairs(cities.withColumn(checked_col(phi1.name), F.lit(True)), fixes)
 
 
@@ -69,7 +74,7 @@ class TestOracleProbabilities:
         d = prob.spark_with_tid(spark, dirty)
         d = prob.ensure_cands(d, ["orderkey", "suppkey"])
         fd = FD(("orderkey",), "suppkey", name="phi")
-        fixes = repair.compute_repairs(d, [(fd, 2)], _dm(d, fd))
+        fixes = _fixes(d, [(fd, 2)])
         out = update.apply_repairs(d, fixes)
         got = prob.cands_canonical(out, "suppkey")
         got = got[got.w == 1].merge(
@@ -116,12 +121,8 @@ class TestMultiRuleMerge:
         return prob.ensure_cands(d, ["zip", "city", "state"])
 
     def _repairs(self, df, rules):
-        dm = None
-        for fd, _w in rules:
-            m = _dm(df, fd)
-            dm = m if dm is None else dm.unionByName(m)
-        # every dirty tuple listed under every rule it is dirty under
-        fixes = repair.compute_repairs(df, rules, dm)
+        # every dirty tuple repaired under every rule it is dirty under
+        fixes = _fixes(df, rules)
         return update.apply_repairs(df, fixes)
 
     def test_union_probabilities(self, two_rule_df):
@@ -176,7 +177,7 @@ class TestUpdate:
         assert n == 5
 
     def test_second_update_preserves_other_cells(self, cities, phi1):
-        fixes = repair.compute_repairs(cities, [(phi1, 2)], _dm(cities, phi1))
+        fixes = _fixes(cities, [(phi1, 2)])
         once = update.apply_repairs(cities, fixes)
         # a later empty update must not clobber existing candidates
         twice = update.apply_repairs(
@@ -185,3 +186,110 @@ class TestUpdate:
         pd.testing.assert_frame_equal(
             prob.cands_canonical(once, "city"), prob.cands_canonical(twice, "city")
         )
+
+
+class TestValueKeyedTables:
+    """The looked-up cells equal a literal evaluation over tuple sets.
+
+    Three rules share the rhs ``x`` — one with a composite lhs ``(a, b)``,
+    one on ``a``, one on ``c`` — and ``a → y`` shares its lhs attribute
+    with ``a → x``, so one lhs cell merges two lhs worlds.
+    """
+
+    RULES = [
+        (FD(("a", "b"), "x", name="r_ab"), 2),
+        (FD(("a",), "x", name="r_a"), 3),
+        (FD(("c",), "x", name="r_c"), 4),
+        (FD(("a",), "y", name="r_ay"), 5),
+    ]
+    ATTRS = ["a", "c", "x", "y"]
+
+    @staticmethod
+    def _pdf(seed):
+        g = np.random.default_rng(seed)
+        n = 160
+        return pd.DataFrame({
+            "a": g.integers(0, 14, n), "b": g.integers(0, 3, n), "c": g.integers(0, 18, n),
+            "x": g.integers(0, 4, n), "y": g.integers(0, 5, n),
+        })
+
+    def _expected(self, pdf):
+        """Every cell of every member of a violating group, in DuckDB."""
+        con = duckdb.connect()
+        con.register("d", pdf.assign(tid=range(len(pdf))))
+        flags = []
+        for i, (fd, _w) in enumerate(self.RULES):
+            lhs = ", ".join(fd.lhs)
+            con.execute(
+                f"CREATE TABLE v{i} AS SELECT {lhs} FROM d GROUP BY {lhs} "
+                f"HAVING count(DISTINCT {fd.rhs}) > 1"
+            )
+            on = " AND ".join(f"v{i}.{a} = d.{a}" for a in fd.lhs)
+            flags.append(f"EXISTS (SELECT 1 FROM v{i} WHERE {on}) AS d{i}")
+        con.execute(f"CREATE TABLE t AS SELECT d.*, {', '.join(flags)} FROM d")
+
+        def dist(attr, world, cond, on):
+            return (
+                f"SELECT t.tid, '{attr}' AS attr, s.{attr} AS v, count(*)::DOUBLE / "
+                f"sum(count(*)) OVER (PARTITION BY t.tid) AS p, {world} AS w "
+                f"FROM t JOIN d s ON {on} WHERE {cond} GROUP BY t.tid, s.{attr}"
+            )
+
+        def keep(attr, world, cond):
+            return (
+                f"SELECT tid, '{attr}' AS attr, {attr} AS v, 1.0 AS p, {world} AS w "
+                f"FROM t WHERE {cond}"
+            )
+
+        # world 1 of x: the union of the supporter groups of the dirty rules
+        union = " OR ".join(
+            f"(t.d{i} AND " + " AND ".join(f"s.{a} = t.{a}" for a in fd.lhs) + ")"
+            for i, (fd, _w) in enumerate(self.RULES[:3])
+        )
+        parts = [
+            dist("x", 1, "t.d0 OR t.d1 OR t.d2", union),
+            keep("x", 2, "d0"), keep("x", 3, "d1"), keep("x", 4, "d2"),
+            dist("y", 1, "t.d3", "s.a = t.a"), keep("y", 5, "d3"),
+            keep("a", 1, "d1 OR d3"), dist("a", 3, "t.d1", "s.x = t.x"),
+            dist("a", 5, "t.d3", "s.y = t.y"),
+            keep("c", 1, "d2"), dist("c", 4, "t.d2", "s.x = t.x"),
+        ]
+        exp = con.execute(" UNION ALL ".join(parts)).fetchdf()
+        con.close()
+        exp["p"] = exp["p"].round(6)
+        return {
+            a: exp[exp.attr == a][["tid", "v", "p", "w"]]
+            .sort_values(["tid", "w", "v"]).reset_index(drop=True)
+            for a in self.ATTRS
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cells_equal_tuple_set_oracle(self, spark, seed):
+        pdf = self._pdf(seed)
+        d = prob.spark_with_tid(spark, pdf)
+        out = update.apply_repairs(prob.ensure_cands(d, self.ATTRS), _fixes(d, self.RULES))
+        exp = self._expected(pdf)
+        for a in self.ATTRS:
+            got = prob.cands_canonical(out, a)
+            pd.testing.assert_frame_equal(got, exp[a], check_dtype=False, obj=a)
+
+    def test_rules_added_later_give_the_same_cells(self, spark):
+        pdf = self._pdf(4)
+        fds = [fd for fd, _w in self.RULES]
+        up_front = DaisySession(
+            spark, {"t": prob.spark_with_tid(spark, pdf)}, {"t": fds}, use_cost_model=False
+        )
+        up_front.full_clean("t")
+        later = DaisySession(
+            spark, {"t": prob.spark_with_tid(spark, pdf)}, {"t": fds[:2]}, use_cost_model=False
+        )
+        later.execute(Query("t", [Filter("a", "between", 0, 6)]))
+        later.add_rules("t", fds[2:])  # Table 7: the rules arrive later
+        later.execute(Query("t", [Filter("a", "between", 7, 13)]))
+        later.full_clean("t")
+        for a in self.ATTRS:
+            pd.testing.assert_frame_equal(
+                prob.cands_canonical(later.table("t"), a),
+                prob.cands_canonical(up_front.table("t"), a),
+                obj=a,
+            )
