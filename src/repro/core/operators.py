@@ -14,8 +14,9 @@ group-bys aggregate after cleaning on provenance grouping values).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import detect, relax, repair, update
@@ -34,12 +35,18 @@ class CleanStats:
     relax_iters: int = 0
 
 
+def filter_predicate(df: DataFrame, filters: list[Filter]) -> Column:
+    """Probabilistic selection: conjunction of qualification predicates.
+
+    Never null: a row whose predicate is null does not qualify.
+    """
+    preds = [qualifies(df, f.attr, f.op, f.value, f.value2) for f in filters]
+    return F.coalesce(reduce(Column.__and__, preds), F.lit(False)) if preds else F.lit(True)
+
+
 def apply_filters(df: DataFrame, filters: list[Filter]) -> DataFrame:
-    """Probabilistic selection: conjunction of qualification predicates."""
-    out = df
-    for f in filters:
-        out = out.where(qualifies(out, f.attr, f.op, f.value, f.value2))
-    return out
+    """The rows of ``df`` that :func:`filter_predicate` selects."""
+    return df.where(filter_predicate(df, filters))
 
 
 #: flag columns of the detected region (:func:`clean_sigma`)
@@ -58,37 +65,54 @@ def clean_sigma(
 ) -> tuple[DataFrame, CleanStats]:
     """Definition 2: relax the select result, fix errors, update in place.
 
-    Returns ``(updated_dataset, stats)``.  ``fds`` (non-empty) are the rules
+    Returns ``(updated_dataset, stats)``.  ``answer`` is the result of
+    ``filters`` over ``dataset``; ``fds`` (non-empty) are the rules
     relevant to this query; ``all_rules`` every (rule, world) pair the
     session knows — needed because repairing a tuple under a new rule
     re-merges the worlds of every rule it is dirty under (§4.3 / Lemma 4);
     ``tables`` their statistics and candidate tables.
 
-    Each phase is one pass: relaxation grows the region (one checkpoint per
-    round), detection puts each rule's group facts on the region rows as
-    flags (one checkpoint), one aggregate counts them, repair looks up the
-    dirty rows' cells, and the update is one broadcast join.  With no
-    repair and no newly checked group the dataset is returned as it is.
+    The region is one filter over ``dataset``: the filters' predicate or
+    any rule's relaxation predicate (:func:`relax.relax_fd`); the filters'
+    predicate also marks its answer rows.  One aggregate counts the
+    region's rows, its answer rows and its rows unchecked under any of
+    ``fds``.  With no unchecked row the dataset is returned as it is,
+    before detection, and this exit is exact: a row is ``CHANGED`` only if
+    it is unchecked, and a group is repaired (``VIOLATING``) only if all of
+    its ``group_size ≥ 1`` rows are unchecked, so detection would change
+    nothing and repair nothing.  The exit reads the region, not the
+    answer: a checked answer can relax into unchecked groups.
+
+    Otherwise each phase is one pass: detection puts each rule's group
+    facts on the region rows as flags (one checkpoint), one aggregate
+    counts them, repair looks up the dirty rows' cells, and the update is
+    one broadcast join.  With no repair and no newly checked group the
+    dataset is returned as it is.
     """
     st = CleanStats()
-    region = answer.withColumn(IN_ANSWER, F.lit(True))
+    in_answer = filter_predicate(dataset, filters)
+    preds = [in_answer]
+    max_iter = 0 if relax_mode == "closure" else None
     for fd in fds:
         side = filter_side(fd, filters)
-        max_iter = 0 if relax_mode == "closure" else None
-        extra, iters = relax.relax_fd(dataset, answer, fd, max_iter=max_iter, filter_side=side)
+        pred, iters = relax.relax_fd(dataset, answer, fd, max_iter=max_iter, filter_side=side)
         st.relax_iters = max(st.relax_iters, iters)
-        region = region.unionByName(extra.withColumn(IN_ANSWER, F.lit(False)))
-    if len(fds) > 1:
-        # the extras of different rules overlap (none overlaps the answer)
-        region = region.dropDuplicates([TID])
+        preds.append(pred)
+    region = dataset.where(reduce(Column.__or__, preds)).withColumn(IN_ANSWER, in_answer)
+
+    unchecked = reduce(Column.__or__, [~F.col(checked_col(fd.name)) for fd in fds])
+    # one task over a filter of the checkpointed dataset: no shuffle stage
+    row = region.coalesce(1).agg(
+        F.count("*").alias("region"), F.count_if(IN_ANSWER).alias(IN_ANSWER),
+        F.count_if(unchecked).alias("unchecked"),
+    ).first()
+    st.answer, st.extras = row[IN_ANSWER], row["region"] - row[IN_ANSWER]
+    if row["unchecked"] == 0:
+        return dataset, st
 
     flagged = _detect(region, fds, tables.stats).localCheckpoint(eager=True)
-    # one task over the checkpointed region: no shuffle stage for the counts
-    row = flagged.coalesce(1).agg(
-        F.count("*").alias("region"), *[F.count_if(c).alias(c) for c in (IN_ANSWER, DIRTY, CHANGED)]
-    ).first()
-    st.answer, st.repaired = row[IN_ANSWER], row[DIRTY]
-    st.extras = row["region"] - st.answer
+    row = flagged.coalesce(1).agg(*[F.count_if(c).alias(c) for c in (DIRTY, CHANGED)]).first()
+    st.repaired = row[DIRTY]
     if row[CHANGED] == 0:
         return dataset, st
 

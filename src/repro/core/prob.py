@@ -134,15 +134,6 @@ def possible_values(df: DataFrame, attr: str) -> Column:
     )
 
 
-def value_set(df: DataFrame, attr: str, out: str = "v") -> DataFrame:
-    """Distinct possible values of ``attr`` across all tuples of ``df``."""
-    return (
-        df.select(F.explode(possible_values(df, attr)).alias(out))
-        .where(F.col(out).isNotNull())
-        .distinct()
-    )
-
-
 def prob_equijoin(
     left: DataFrame,
     right: DataFrame,
@@ -157,20 +148,19 @@ def prob_equijoin(
     Output columns are prefixed (``<lprefix>_<col>`` / ``<rprefix>_<col>``);
     lineage tids (§4: the originating tuple IDs) are
     ``<lprefix>_{TID}`` / ``<rprefix>_{TID}``.
+
+    One join of the renamed sides, each exploded to one row per possible
+    join value; a pair whose candidate sets share several values joins once
+    per shared value, so the pairs are de-duplicated on their lineage tids.
     """
-    lv = left.select(
-        F.col(TID).alias("__ltid"), F.explode(possible_values(left, left_on)).alias("__jv")
-    )
-    rv = right.select(
-        F.col(TID).alias("__rtid"), F.explode(possible_values(right, right_on)).alias("__jv")
-    )
-    pairs = lv.join(rv, "__jv").select("__ltid", "__rtid").distinct()
-    lren = left.select([F.col(c).alias(f"{lprefix}_{c}") for c in left.columns])
-    rren = right.select([F.col(c).alias(f"{rprefix}_{c}") for c in right.columns])
+    sides = []
+    for df, on, prefix in ((left, left_on, lprefix), (right, right_on, rprefix)):
+        cols = [F.col(c).alias(f"{prefix}_{c}") for c in df.columns]
+        sides.append(df.select(*cols, F.explode(possible_values(df, on)).alias("__jv")))
     return (
-        pairs.join(lren, pairs["__ltid"] == lren[f"{lprefix}_{TID}"])
-        .join(rren, pairs["__rtid"] == rren[f"{rprefix}_{TID}"])
-        .drop("__ltid", "__rtid")
+        sides[0].join(sides[1], "__jv")
+        .dropDuplicates([f"{lprefix}_{TID}", f"{rprefix}_{TID}"])
+        .drop("__jv")
     )
 
 

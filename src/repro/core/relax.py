@@ -15,54 +15,82 @@ the paper's worked examples exactly.
 Matching is probabilistic-aware: a tuple matches a value set through *any*
 of its candidate values (§4 qualification semantics).
 
-The rounds grow a region instead of draining an unvisited pool.  Round
+Algorithm 1 is defined on value sets, and so are the rounds here.  Round
 ``k`` is every tuple of ``d`` with a possible lhs or rhs value in the value
 sets of region ``k-1`` (region 0 is ``A``).  The value sets only grow, so
 the regions are nested and region ``k`` minus ``A`` is exactly the extras of
 Algorithm 1's first ``k`` iterations; each answer tuple with a value lies in
-region 1, so the regions' value sets are those of ``A`` ∪ region.  A round
-is two broadcast semi-joins (one per value set) and one checkpoint; the
-answer is subtracted once, at the end.
+region 1, so the regions' value sets are those of ``A`` ∪ region.
+
+A round is one single-task aggregate that collects region ``k-1``'s
+distinct possible lhs and rhs values to the driver; region ``k`` is then a
+filter over ``d`` with those sets inlined as array literals.  The sets are bounded by the
+region's distinct values, which is what a broadcast build side of the same
+match would hold (and a broadcast build side is collected on the driver
+too).  No round is checkpointed: every region is one flat filter.  A
+composite lhs collects base-value tuples: it is matched on provenance
+values, and a tuple with a null lhs component matches nothing, as in an
+equi-join.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from functools import reduce
+
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.constraints import FD
-from repro.core.prob import TID, possible_values
+from repro.core.prob import possible_values
 
 #: iteration budgets per filtered side (Lemmas 1 and 2)
 LEMMA_ITERS = {"rhs": 1, "lhs": 2, None: 2}
 
 
-def _value_rows(df: DataFrame, attrs: tuple[str, ...]) -> tuple[DataFrame, list[str]]:
-    """``(TID, value)`` rows of ``df`` and the value key columns.
+def _keys(df: DataFrame, attrs: tuple[str, ...]) -> Column:
+    """Array of the non-null values a row of ``df`` matches on for ``attrs``.
 
-    A single attribute gives one row per non-null possible (candidate)
-    value; a composite lhs matches on its base (provenance) values.  Rows
-    are not de-duplicated: a semi-join needs no distinct build side.
+    A single attribute gives its possible (candidate) values; a composite
+    lhs gives its base-value tuple, or nothing when a component is null.
     """
     if len(attrs) == 1:
-        rows = df.select(TID, F.explode(possible_values(df, attrs[0])).alias("v"))
-        return rows.where(F.col("v").isNotNull()), ["v"]
-    return df.select(TID, *attrs), list(attrs)
+        return F.filter(possible_values(df, attrs[0]), lambda v: v.isNotNull())
+    return F.filter(
+        F.array(F.struct(*attrs)),
+        lambda s: reduce(Column.__and__, [s[a].isNotNull() for a in attrs]),
+    )
 
 
-def _grow(dataset: DataFrame, region: DataFrame, fd: FD) -> DataFrame:
-    """Tuples of ``dataset`` with a possible lhs or rhs value in ``region``'s.
+def _collect(region: DataFrame, fd: FD) -> tuple[int, list[str]]:
+    """One single-task aggregate: ``region``'s rows with a value, and its value sets.
 
-    The value sets are broadcast: they are bounded by the region's cells,
-    and so is the matched-tid frame, which holds one row per matching
-    value of each tuple of the next region.
+    The value sets are the distinct lhs keys and rhs values of
+    :func:`_keys`, in that order, each as the JSON text of an array: one
+    string per set crosses to the driver and back, and Spark's JSON reads
+    back exactly the number and string values rules match on here.
     """
-    hits = None
-    for attrs in (fd.lhs, (fd.rhs,)):
-        rows, keys = _value_rows(dataset, attrs)
-        vals, _ = _value_rows(region, attrs)
-        t = rows.join(F.broadcast(vals.drop(TID)), keys, "leftsemi").select(TID)
-        hits = t if hits is None else hits.unionByName(t)
-    return dataset.join(F.broadcast(hits), TID, "leftsemi")
+    keys = [_keys(region, attrs) for attrs in (fd.lhs, (fd.rhs,))]
+    row = region.coalesce(1).agg(
+        F.count_if(F.size(keys[0]) + F.size(keys[1]) > 0).alias("n"),
+        *[F.to_json(F.array_distinct(F.flatten(F.collect_set(k)))).alias(f"s{i}")
+          for i, k in enumerate(keys)],
+    ).first()
+    return row["n"], [row["s0"], row["s1"]]
+
+
+def _match(dataset: DataFrame, fd: FD, sets: list[str]) -> Column:
+    """Rows of ``dataset`` with a possible lhs or rhs value in ``sets``.
+
+    Each set is one array literal, folded once from its JSON text;
+    ``arrays_overlap`` hashes a row's few keys and scans the set.
+    """
+    preds = []
+    for attrs, text in zip((fd.lhs, (fd.rhs,)), sets):
+        fields = [dataset.schema[a] for a in attrs]
+        elem = fields[0].dataType if len(fields) == 1 else T.StructType(fields)
+        values = F.from_json(F.lit(text), T.ArrayType(elem))
+        preds.append(F.arrays_overlap(_keys(dataset, attrs), values))
+    return preds[0] | preds[1]
 
 
 def relax_fd(
@@ -72,32 +100,31 @@ def relax_fd(
     *,
     max_iter: int | None = None,
     filter_side: str | None = None,
-) -> tuple[DataFrame, int]:
-    """Run Algorithm 1; returns ``(total_extra, iterations_used)``.
+) -> tuple[Column, int]:
+    """Run Algorithm 1; returns ``(region, iterations_used)``.
 
     ``max_iter=None`` selects the Lemma budget for ``filter_side`` ('lhs',
     'rhs' or None); ``max_iter=0`` means run to fixpoint (closure).
-    ``total_extra`` holds the relaxed region's tuples outside ``answer``,
-    each once.
+    ``region`` is a predicate over ``dataset``'s rows: the relaxed region,
+    which holds every answer tuple with a value; the region's tuples
+    outside ``answer`` are Algorithm 1's extras.
+
+    A Lemma budget of ``m`` rounds collects the value sets of regions
+    ``0 .. m-1``.  Closure also counts each region's rows: region ``k``
+    holds the ``n`` answer tuples with a value and its extras, so the
+    first round whose count does not grow is the empty round that ends the
+    fixpoint, and it is not counted.
     """
     if max_iter is None:
         max_iter = LEMMA_ITERS.get(filter_side, 2)
     closure = max_iter == 0
-    region, iters, n_extra = answer, 0, 0
-    while closure or iters < max_iter:
-        # one checkpoint per round: a round's plan otherwise nests every
-        # earlier round and re-runs them per downstream action
-        grown = _grow(dataset, region, fd).localCheckpoint(eager=True)
-        if closure:
-            n = _minus(grown, answer).count()
-            if n == n_extra:
-                break  # the empty round is termination detection, not work
-            n_extra = n
-        region = grown
-        iters += 1
-    return _minus(region, answer), iters
-
-
-def _minus(region: DataFrame, answer: DataFrame) -> DataFrame:
-    """``region`` without the answer's tuples (the answer is broadcast)."""
-    return region.join(F.broadcast(answer.select(TID)), TID, "left_anti")
+    n, sets = _collect(answer, fd)
+    iters = 0
+    while True:
+        region = _match(dataset, fd, sets)
+        if not closure and iters + 1 == max_iter:
+            return region, max_iter
+        m, sets = _collect(dataset.where(region), fd)
+        if closure and m == n:
+            return region, iters  # the empty round is termination detection, not work
+        n, iters = m, iters + 1

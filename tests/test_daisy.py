@@ -247,6 +247,32 @@ class TestAddRules:
         )
 
 
+class TestCheckedAnswerRelaxesIntoUncheckedGroups:
+    """clean_σ's no-change exit reads the relaxed region, not the answer."""
+
+    def test_answers_match_offline(self, spark):
+        from repro.core import operators
+
+        # φ groups G1 = (1,a), (1,b) and G2 = (2,b), (2,c)
+        pdf = pd.DataFrame({"orderkey": [1, 1, 2, 2], "suppkey": ["a", "b", "b", "c"]})
+        sess = _fresh(spark, prob.spark_with_tid(spark, pdf), use_cost_model=False)
+        off = offline_clean(prob.spark_with_tid(spark, pdf), [PHI], mode="vectorized").table
+        # the second answer, (1,a) and (1,b), is checked by the first query;
+        # it relaxes into G2, whose repair gives (2,b) the orderkey candidate 1
+        for f in (Filter("suppkey", "=", "a"), Filter("orderkey", "=", 1)):
+            q = Query("lineorder", [f])
+            got = sess.execute(q)
+            exp = operators.run_query({"lineorder": off}, q)
+            tids = sorted(r[TID] for r in got.select(TID).collect())
+            assert tids == sorted(r[TID] for r in exp.select(TID).collect())
+            for attr in ("orderkey", "suppkey"):
+                pd.testing.assert_frame_equal(
+                    prob.cands_canonical(got, attr), prob.cands_canonical(exp, attr)
+                )
+        assert tids == [0, 1, 2]
+        assert [r.repaired for r in sess.records] == [2, 2]
+
+
 class TestJoinQueries:
     def test_join_cleans_both_sides(self, spark):
         lo = ssb.lineorder_pdf(n_rows=600, n_orderkeys=60, n_suppkeys=12)

@@ -13,7 +13,8 @@ from repro.core import prob
 from repro.core.constraints import DC, FD, Atom
 from repro.core.daisy import DaisySession
 from repro.core.offline import offline_clean
-from repro.core.planner import Filter, Query
+from repro.core.planner import Filter, JoinSpec, Query
+from repro.datagen import ssb
 from repro.datagen.errors import inject_dc_errors, monotone_discount
 
 PHI = FD(("orderkey",), "suppkey", name="phi")
@@ -21,7 +22,11 @@ PRICE_DC = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dc")
 
 #: jobs of the queries below: a two-round lhs query that repairs, then the
 #: same query again, which repairs nothing and leaves the table as it is
-JOBS = {"repairs": 18, "repeat": 14}
+#: (two relaxation rounds and the region count, no detection)
+JOBS = {"repairs": 12, "repeat": 3}
+#: jobs of a lineorder ⋈ supplier join over the whole suppkey domain after the
+#: repairing query, answer included: every row it relaxes into is checked
+JOIN_JOBS = 9
 #: jobs of a vectorized offline clean of the same table under φ
 OFFLINE_JOBS = 13
 #: jobs of a DC range query (answer count 2, detection, fixes, repaired
@@ -61,6 +66,24 @@ def test_execute_job_budget(spark, ssb_small):
     }
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= JOBS[k] + SLACK for k in JOBS), got
+
+
+def test_join_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sup = ssb.supplier_pdf(n_suppkeys=20, rows_per_supp=3)
+    sess = DaisySession(
+        spark,
+        {"lineorder": prob.spark_with_tid(spark, dirty),
+         "supplier": prob.spark_with_tid(spark, sup)},
+        {"lineorder": [PHI]},
+        use_cost_model=False,
+    )
+    sess.execute(Query("lineorder", [Filter("orderkey", "between", 1, 20)])).count()
+    q = Query("lineorder", [Filter("suppkey", "between", 1, 20)],
+              join=JoinSpec("supplier", "suppkey", "suppkey"))
+    got = _jobs(spark, "job-budget-join", lambda: sess.execute(q).count())
+    assert sess.records[1].repaired == 0
+    assert got <= JOIN_JOBS + SLACK, got
 
 
 def test_execute_dc_job_budget(spark):

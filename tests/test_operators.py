@@ -104,8 +104,8 @@ class TestCleanSigmaTwoRules:
 
         region, iters = answer, 0
         for fd in fds:
-            extra, it = relax.relax_fd(d, answer, fd, filter_side=filter_side(fd, filters))
-            region, iters = region.unionByName(extra), max(iters, it)
+            pred, it = relax.relax_fd(d, answer, fd, filter_side=filter_side(fd, filters))
+            region, iters = region.unionByName(d.where(pred)), max(iters, it)
         region = region.dropDuplicates([TID]).localCheckpoint(eager=True)
         dirty = set()
         for fd in fds:

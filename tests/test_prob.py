@@ -103,11 +103,6 @@ class TestValueSets:
         pv = d.where(F.col(TID) == 0).select(prob.possible_values(d, "k").alias("pv")).first()["pv"]
         assert sorted(pv) == [1, 7]
 
-    def test_value_set(self, simple):
-        d = _with_cands(simple, 0, "k", [(1, 0.5, 1), (7, 0.5, 2)])
-        vs = {r["v"] for r in prob.value_set(d, "k").collect()}
-        assert vs == {1, 2, 3, 7}
-
 
 class TestProbEquijoin:
     def test_clean_join_matches(self, spark):

@@ -13,12 +13,18 @@ def _tids(df):
     return sorted(r[TID] for r in df.select(TID).collect())
 
 
+def _relax(d, A, fd, **kw):
+    """``relax_fd`` with its region as the extras: the region's tuples outside ``A``."""
+    region, iters = relax.relax_fd(d, A, fd, **kw)
+    return d.where(region).join(A.select(TID), TID, "left_anti"), iters
+
+
 class TestCitiesExample:
     """Examples 2-3 over Table 2a."""
 
     def test_closure_pulls_whole_cluster_rhs_filter(self, cities, phi1):
         A = cities.where(prob.qualifies(cities, "city", "=", "Los Angeles"))
-        extra, iters = relax.relax_fd(cities, A, phi1, max_iter=0)
+        extra, iters = _relax(cities, A, phi1, max_iter=0)
         # Example 2 chain: +(9001,SF) by lhs, +(10001,SF) by rhs, +(10001,NY) by lhs
         assert _tids(extra) == [1, 3, 4]
         assert iters == 3
@@ -27,7 +33,7 @@ class TestCitiesExample:
         # Lemma 1: one iteration suffices for accurate fixes of the
         # qualifying tuples under an rhs filter — it adds the same-lhs tuples
         A = cities.where(prob.qualifies(cities, "city", "=", "Los Angeles"))
-        extra, iters = relax.relax_fd(cities, A, phi1, filter_side="rhs")
+        extra, iters = _relax(cities, A, phi1, filter_side="rhs")
         assert iters == 1
         assert _tids(extra) == [1]  # (9001, San Francisco)
 
@@ -35,12 +41,12 @@ class TestCitiesExample:
         # Example 3: zip = 9001; iteration 1 adds (10001,SF) via rhs match,
         # iteration 2 adds (10001,NY) via the now-present lhs 10001
         A = cities.where(prob.qualifies(cities, "zip", "=", "9001"))
-        extra, iters = relax.relax_fd(cities, A, phi1, filter_side="lhs")
+        extra, iters = _relax(cities, A, phi1, filter_side="lhs")
         assert iters == 2
         assert _tids(extra) == [3, 4]
 
     def test_no_extras_when_answer_is_whole_dataset(self, cities, phi1):
-        extra, _ = relax.relax_fd(cities, cities, phi1, max_iter=0)
+        extra, _ = _relax(cities, cities, phi1, max_iter=0)
         assert extra.count() == 0
 
 
@@ -53,7 +59,7 @@ class TestOracle:
         d = prob.spark_with_tid(spark, dirty)
         fd = FD(("orderkey",), "suppkey", name="phi")
         A = d.where(prob.qualifies(d, "suppkey", "between", lo, hi)).localCheckpoint(eager=True)
-        extra, _ = relax.relax_fd(d, A, fd, filter_side="rhs")
+        extra, _ = _relax(d, A, fd, filter_side="rhs")
         con = duckdb.connect()
         con.register("d", dirty.reset_index(drop=True).reset_index(names="tid"))
         # iteration 1 of Algorithm 1: lhs matches first, then rhs matches
@@ -76,7 +82,7 @@ class TestOracle:
         d = prob.spark_with_tid(spark, cities_pdf)
         d = prob.ensure_cands(d, ["zip", "city"])
         A = d.where(F.col(TID) == 3)  # (10001, San Francisco)
-        extra, _ = relax.relax_fd(d, A, phi1, max_iter=0)
+        extra, _ = _relax(d, A, phi1, max_iter=0)
         assert _tids(extra) == [0, 1, 2, 4]
 
 
@@ -93,7 +99,7 @@ class TestCompositeLhs:
         d = prob.ensure_cands(d, ["name"])
         fd = FD(("s", "c"), "name")
         A = d.where(F.col(TID) == 0)  # group (1,7) — row 1 shares it
-        extra, _ = relax.relax_fd(d, A, fd, filter_side="lhs")
+        extra, _ = _relax(d, A, fd, filter_side="lhs")
         # iteration 1: +row1 (same composite lhs) and +row2 (same rhs 'a');
         # iteration 2: +row3? no — (2,8) shares neither lhs (2,7)≠(2,8) nor rhs
         assert 1 in _tids(extra) and 2 in _tids(extra) and 3 not in _tids(extra)
@@ -113,7 +119,7 @@ class TestProbAwareMatching:
             F.when(F.col(TID) == 3, arr).otherwise(F.col(prob.cands_col("zip"))),
         )
         A = d.where(F.col(TID).isin([0, 2]))  # zip 9001 rows
-        extra, _ = relax.relax_fd(d, A, phi1, max_iter=1)
+        extra, _ = _relax(d, A, phi1, max_iter=1)
         assert 3 in _tids(extra) and 1 in _tids(extra)
 
 
@@ -160,7 +166,7 @@ class TestOracleRounds:
         _, dirty, _ = ssb_small
         d = prob.spark_with_tid(spark, dirty)
         A = d.where(prob.qualifies(d, "orderkey", "between", lo, hi))
-        extra, iters = relax.relax_fd(d, A, self.FD_SSB, filter_side="lhs")
+        extra, iters = _relax(d, A, self.FD_SSB, filter_side="lhs")
         expected, rounds = _algorithm1_sql(
             dirty, f"orderkey BETWEEN {lo} AND {hi}", "orderkey", "suppkey", 2
         )
@@ -171,7 +177,7 @@ class TestOracleRounds:
     def test_closure_rounds_match_sql(self, spark, ssb_small, where):
         _, dirty, _ = ssb_small
         d = prob.spark_with_tid(spark, dirty)
-        extra, iters = relax.relax_fd(d, d.where(where), self.FD_SSB, max_iter=0)
+        extra, iters = _relax(d, d.where(where), self.FD_SSB, max_iter=0)
         expected, rounds = _algorithm1_sql(dirty, where, "orderkey", "suppkey", 0)
         assert iters == rounds
         assert _tids(extra) == expected
@@ -180,6 +186,6 @@ class TestOracleRounds:
         # each round reaches one more link: (0,0) -lhs- (0,1) -rhs- (1,1) -lhs- (1,2) ...
         pdf = pd.DataFrame({"k": [0, 0, 1, 1, 2, 2, 3], "s": [0, 1, 1, 2, 2, 3, 3]})
         d = prob.spark_with_tid(spark, pdf)
-        extra, iters = relax.relax_fd(d, d.where(F.col(TID) == 0), FD(("k",), "s"), max_iter=0)
+        extra, iters = _relax(d, d.where(F.col(TID) == 0), FD(("k",), "s"), max_iter=0)
         assert (_tids(extra), iters) == _algorithm1_sql(pdf, "tid = 0", "k", "s", 0)
         assert iters == 6
