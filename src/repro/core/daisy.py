@@ -226,12 +226,8 @@ class DaisySession:
         """Incremental theta-join cleaning with the Alg. 2 accuracy gate.
 
         ``filters`` are the query's filters on ``table`` and ``answer`` the
-        size of their result.  Each filter on the DC's bucketing attribute
-        (``=``, ``in``, ``between``, ``<``, ``<=``, ``>``, ``>=``) narrows the
-        matrix buckets to the ones its values can fall in; the filters are a
-        conjunction, so the query's buckets are the intersection.  Filters
-        on other attributes, and ``!=``, leave every bucket in: the answer's
-        bucketing values are then unknown without a scan.
+        size of their result; the filters give the matrix buckets in scope
+        (:meth:`repro.core.thetajoin.ThetaJoinCleaner.buckets_for`).
 
         The state of each (table, DC) is the union of the checkpointed
         violation frames its queries detected; each matrix pair is scanned
@@ -244,10 +240,7 @@ class DaisySession:
         job here and repairs nothing.
         """
         theta = self.theta[(table, dc.name)]
-        buckets = set(range(theta.nb))
-        for f in filters:
-            if f.attr == theta.x:
-                buckets &= _filter_buckets(theta, f)
+        buckets = theta.buckets_for(filters)
         acc, support = theta.accuracy(buckets, max(1, answer))
         rec.dc_accuracy = acc
         scanned = theta.pairs_scanned
@@ -314,18 +307,3 @@ class DaisySession:
     def total_seconds(self) -> float:
         return sum(r.seconds for r in self.records)
 
-
-def _filter_buckets(theta: ThetaJoinCleaner, f: Filter) -> set[int]:
-    """The matrix buckets the values passing ``f`` (on ``theta.x``) fall in."""
-    last = theta.nb - 1
-    if f.op == "=":
-        return {theta.bucket_of(float(f.value))}
-    if f.op == "in":
-        return {theta.bucket_of(float(v)) for v in f.value}
-    if f.op == "between":
-        return set(range(theta.bucket_of(float(f.value)), theta.bucket_of(float(f.value2)) + 1))
-    if f.op in ("<", "<="):
-        return set(range(theta.bucket_of(float(f.value)) + 1))
-    if f.op in (">", ">="):
-        return set(range(theta.bucket_of(float(f.value)), last + 1))
-    return set(range(last + 1))

@@ -11,18 +11,17 @@ comparison, exactly as in Example 5 (``t2`` takes salary < 2000 *or* tax
 Candidates are fix rows ``(tid, attr, lo, hi, p)`` (±inf for open sides);
 they are not merged into the table: the session keeps them in
 ``DaisySession.dc_repairs`` and the offline cleaner in
-``OfflineResult.dc_repairs`` (``rcands_col`` names the column a merge would
-use).  A cell with multiple violating partners accumulates ranges, and the
-frequency-based probabilities are normalized over the number of fixes
-collected for the tuple, so the fixes are a function of the set of
-violation pairs: the session rebuilds them from every pair found so far.
+``OfflineResult.dc_repairs``.  A cell with multiple violating partners
+accumulates ranges, and the frequency-based probabilities are normalized
+over the number of fixes collected for the tuple, so the fixes are a
+function of the set of violation pairs: the session rebuilds them from
+every pair found so far.
 
 The violation pairs are checkpointed, so :func:`dc_fixes` and
 :func:`count_dirty_tids` run in one task over ``coalesce(1)`` of them: the
 group-by and windows need no exchange and each action is one Spark job.
 """
 from __future__ import annotations
-
 
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
@@ -34,9 +33,8 @@ INF = float("inf")
 #: columns of ``DaisySession.dc_repairs`` / ``OfflineResult.dc_repairs``
 FIX_COLS = ("tid", "attr", "lo", "hi", "p")
 
-
-def rcands_col(attr: str) -> str:
-    return f"{attr}__rcands"
+#: ``a op b`` ⇔ ``b _MIRROR[op] a``
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _range_for(op_inverse: str, bound_col: str):
@@ -54,21 +52,18 @@ def dc_fixes(violations: DataFrame, dc: DC) -> DataFrame:
     ``(tid, attr, lo, hi, p)`` — per dirty cell, the keep-option and the
     inverted-atom ranges with frequency probabilities.
     """
-    ax, ay = dc.atoms[0], dc.atoms[1]
     # For tuple t1: invert atom-x (x1 gets the range ¬opx w.r.t. x2) or
-    # invert atom-y; symmetrically for t2 with the ops' mirror side.
-    per_side = []
-    # side, attr, own value col, partner value col, inverse op seen from this side
-    per_side.append(("tid1", ax.attr, "x1", "x2", ax.inverse_op))
-    per_side.append(("tid1", ay.attr, "y1", "y2", ay.inverse_op))
-    # from t2's perspective the comparison flips orientation first, then the
-    # fix inverts it: e.g. t1.sal < t2.sal seen from t2 is t2.sal > t1.sal,
-    # whose inversion gives t2.sal ≤ t1.sal (Example 5: salary < 2000)
-    flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-    inverse = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-    per_side.append(("tid2", ax.attr, "x2", "x1", inverse[flip[ax.op]]))
-    per_side.append(("tid2", ay.attr, "y2", "y1", inverse[flip[ay.op]]))
-
+    # invert atom-y.  t2 sees each atom with its operands swapped, so its
+    # fix is the mirrored inverse: e.g. t1.sal < t2.sal inverts to
+    # t1.sal ≥ t2.sal, which t2 reads as t2.sal ≤ t1.sal (Example 5: salary
+    # < 2000).  Rows: side, attr, own value col, partner value col, fix op.
+    ax, ay = dc.atoms
+    per_side = [
+        ("tid1", ax.attr, "x1", "x2", ax.inverse_op),
+        ("tid1", ay.attr, "y1", "y2", ay.inverse_op),
+        ("tid2", ax.attr, "x2", "x1", _MIRROR[ax.inverse_op]),
+        ("tid2", ay.attr, "y2", "y1", _MIRROR[ay.inverse_op]),
+    ]
     out = None
     for tid_col, attr, own, partner, inv in per_side:
         lo, hi = _range_for(inv, partner)

@@ -3,42 +3,42 @@
 The cartesian product of the table with itself is mapped to a matrix
 (Okcan & Riedewald [22]): both axes are range-bucketed on the attribute of
 the DC's first atom into ``g = √p`` quantile buckets, so the matrix has
-``p = g²`` partitions.  Violation detection over a region then
+``p = g²`` partitions.
 
-- prunes whole partitions whose bucket boundary ranges cannot satisfy the
-  atoms (e.g. for ``t1.x < t2.x`` a partition (r, c) with ``lo_r ≥ hi_c``
-  on the relevant orientation),
-- prunes intra-partition pairs by tightening the value ranges before the
-  pairwise check (Fig 2's example), and
-- skips symmetric duplicates by checking only unordered bucket pairs
-  (r ≤ c) with both pair orientations.
+One rule decides, per atom ``t1.a op t2.a``, which pairs of a partition
+(t1 ∈ bucket r, t2 ∈ bucket c) can satisfy it: a t1 can iff
+``t1.a op c_extreme`` and a t2 can iff ``r_extreme op t2.a``, where the
+extreme is ``hi_c``/``lo_r`` for ``<``/``<=`` and ``lo_c``/``hi_r`` for
+``>``/``>=``.  Violation detection over a region applies it to
+
+- prune whole partitions: (r, c) is feasible iff ``r_extreme op c_extreme``
+  for every atom,
+- prune intra-partition tuples before the pairwise check (Fig 2's
+  example), with exact comparisons on both sides, and
+- the Alg. 2 estimate, over the partner buckets' extremes.
 
 Incrementality: a cleaner instance remembers the set of checked bucket
 pairs; a query only pays for the unchecked pairs its result touches
 (§4.2: "the matrix subset involves the query result and the unseen part
-of the dataset").  ``estimate_errors`` is Algorithm 2's boundary-overlap
-estimator, with the support metric over diagonal partitions.
+of the dataset").  ``estimate`` is Algorithm 2's boundary-overlap
+estimator, computed once at construction; ``accuracy`` adds the support
+metric over diagonal partitions.
 """
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+import operator
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, GroupedData
 from pyspark.sql import functions as F
 
-from repro.core.constraints import DC
+from repro.core.constraints import DC, Atom
+from repro.core.planner import Filter
 from repro.core.prob import TID
 
-
-@dataclass
-class BucketInfo:
-    idx: int
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-    count: int
+#: the comparator of each inequality op, on floats and on Spark Columns alike
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class ThetaJoinCleaner:
@@ -52,51 +52,32 @@ class ThetaJoinCleaner:
     def __init__(self, dataset: DataFrame, dc: DC, *, partitions: int = 64):
         if len(dc.atoms) != 2:
             raise ValueError("ThetaJoinCleaner handles two-atom DCs")
+        if any(a.op not in OPS for a in dc.atoms):
+            raise ValueError("atoms must be inequalities")
         self.dc = dc
         self.x = dc.atoms[0].attr
         self.y = dc.atoms[1].attr
-        self.opx = dc.atoms[0].op
-        self.opy = dc.atoms[1].op
-        if self.opx not in ("<", "<=", ">", ">=") or self.opy not in ("<", "<=", ">", ">="):
-            raise ValueError("atoms must be inequalities")
-        self.g = max(1, int(math.sqrt(partitions)))
-        qs = [i / self.g for i in range(self.g + 1)]
-        cuts = dataset.approxQuantile(self.x, qs, 0.001)
+        g = max(1, int(math.sqrt(partitions)))
+        qs = [i / g for i in range(g + 1)]
         # de-duplicate cut points (heavy hitters collapse quantiles)
-        splits = sorted(set(cuts))
-        self.splits = splits
-        self.nb = max(1, len(splits) - 1)
-        bucket = self._bucket_col(F.col(self.x))
+        self.splits = sorted(set(dataset.approxQuantile(self.x, qs, 0.001)))
+        self.nb = max(1, len(self.splits) - 1)
         self.data = (
             dataset.select(TID, self.x, self.y)
-            .withColumn("__bx", bucket)
+            .withColumn("__bx", self._bucket_col(F.col(self.x)))
             .localCheckpoint(eager=True)
         )
-        rows = (
-            self.data.groupBy("__bx")
-            .agg(
-                F.min(self.x).alias("xlo"),
-                F.max(self.x).alias("xhi"),
-                F.min(self.y).alias("ylo"),
-                F.max(self.y).alias("yhi"),
-                F.count("*").alias("cnt"),
-            )
-            .collect()
-        )
-        self.buckets: dict[int, BucketInfo] = {
-            int(r["__bx"]): BucketInfo(
-                int(r["__bx"]), r["xlo"], r["xhi"], r["ylo"], r["yhi"], int(r["cnt"])
-            )
+        # per bucket, each attribute's (lo, hi); an empty bucket has no entry
+        one_task = self.data.coalesce(1).groupBy("__bx")
+        rows = one_task.agg(
+            *(F.min(a).alias(f"{a}_lo") for a in (self.x, self.y)),
+            *(F.max(a).alias(f"{a}_hi") for a in (self.x, self.y)),
+        ).collect()
+        self.bounds: dict[int, dict[str, tuple[float, float]]] = {
+            r["__bx"]: {a: (r[f"{a}_lo"], r[f"{a}_hi"]) for a in (self.x, self.y)}
             for r in rows
         }
-        # per-bucket sorted y values for the Alg. 2 estimator (driver-side;
-        # at cluster scale this would be a t-digest/quantile sketch)
-        import numpy as _np
-
-        ys = self.data.select("__bx", self.y).toPandas()
-        self._bucket_ys = {
-            int(b): _np.sort(g[self.y].to_numpy()) for b, g in ys.groupby("__bx")
-        }
+        self.estimate = self._estimate(one_task)
         self.checked: set[tuple[int, int]] = set()
         self.pairs_scanned = 0
 
@@ -111,56 +92,66 @@ class ThetaJoinCleaner:
         return b
 
     def bucket_of(self, v: float) -> int:
-        for i in range(self.nb):
-            if v < self.splits[i + 1] or i == self.nb - 1:
-                return i
-        return self.nb - 1
+        """The bucket ``_bucket_col`` assigns to ``v``: inner cut points ≤ v."""
+        return bisect.bisect_right(self.splits, float(v), 1, self.nb) - 1
 
-    # -- feasibility pruning ----------------------------------------------
+    def buckets_for(self, filters: list[Filter]) -> set[int]:
+        """The buckets the rows passing every filter of ``filters`` fall in.
+
+        Each filter on the bucketing attribute (``=``, ``in``, ``between``,
+        ``<``, ``<=``, ``>``, ``>=``) narrows the buckets to the ones its
+        values can fall in; the filters are a conjunction, so the result is
+        the intersection.  Filters on other attributes, and ``!=``, leave
+        every bucket in: the rows' bucketing values are then unknown
+        without a scan.
+        """
+        buckets = set(range(self.nb))
+        for f in filters:
+            if f.attr != self.x:
+                continue
+            if f.op in ("=", "in"):
+                buckets &= {self.bucket_of(v) for v in ([f.value] if f.op == "=" else f.value)}
+            elif f.op == "between":
+                buckets &= set(range(self.bucket_of(f.value), self.bucket_of(f.value2) + 1))
+            elif f.op in ("<", "<="):
+                buckets &= set(range(self.bucket_of(f.value) + 1))
+            elif f.op in (">", ">="):
+                buckets &= set(range(self.bucket_of(f.value), self.nb))
+        return buckets
+
+    # -- the matrix rule ---------------------------------------------------
+    def _extreme(self, atom: Atom, b: int, t2: bool) -> float:
+        """The bound of bucket ``b`` that decides ``atom`` for its t1s (or t2s).
+
+        A t1 of bucket r can satisfy ``t1.a op t2.a`` against some t2 of
+        bucket c iff ``t1.a op extreme(c, t2)``, and a t2 iff
+        ``extreme(r, t1) op t2.a``: for ``<``/``<=`` that is ``hi_c`` and
+        ``lo_r``, for ``>``/``>=`` ``lo_c`` and ``hi_r``.
+        """
+        lo, hi = self.bounds[b][atom.attr]
+        return hi if (atom.op in ("<", "<=")) == t2 else lo
+
     def feasible(self, r: int, c: int) -> bool:
         """Can any (t1 ∈ bucket r, t2 ∈ bucket c) pair violate the DC?"""
-        br, bc = self.buckets.get(r), self.buckets.get(c)
-        if br is None or bc is None or br.count == 0 or bc.count == 0:
+        if r not in self.bounds or c not in self.bounds:
             return False
-
-        def rng_ok(lo1, hi1, op, lo2, hi2):
-            if op in ("<", "<="):
-                return lo1 < hi2 or (op == "<=" and lo1 <= hi2)
-            return hi1 > lo2 or (op == ">=" and hi1 >= lo2)
-
-        return rng_ok(br.x_lo, br.x_hi, self.opx, bc.x_lo, bc.x_hi) and rng_ok(
-            br.y_lo, br.y_hi, self.opy, bc.y_lo, bc.y_hi
+        return all(
+            OPS[a.op](self._extreme(a, r, False), self._extreme(a, c, True))
+            for a in self.dc.atoms
         )
 
     def _pair_violations(self, r: int, c: int) -> DataFrame:
         """Violating (t1, t2) pairs with t1 in bucket r, t2 in bucket c."""
-        br, bc = self.buckets[r], self.buckets[c]
         left = self.data.where(F.col("__bx") == r)
         right = self.data.where(F.col("__bx") == c)
-        # intra-partition pruning (Fig 2): tighten ranges per condition
-        if self.opx in ("<", "<="):
-            left = left.where(F.col(self.x) < F.lit(bc.x_hi + 1e-12))
-            right = right.where(F.col(self.x) > F.lit(br.x_lo - 1e-12))
-        else:
-            left = left.where(F.col(self.x) > F.lit(bc.x_lo - 1e-12))
-            right = right.where(F.col(self.x) < F.lit(br.x_hi + 1e-12))
-        if self.opy in (">", ">="):
-            left = left.where(F.col(self.y) > F.lit(bc.y_lo - 1e-12))
-            right = right.where(F.col(self.y) < F.lit(br.y_hi + 1e-12))
-        else:
-            left = left.where(F.col(self.y) < F.lit(bc.y_hi + 1e-12))
-            right = right.where(F.col(self.y) > F.lit(br.y_lo - 1e-12))
-        l = left.select(
-            F.col(TID).alias("tid1"), F.col(self.x).alias("x1"), F.col(self.y).alias("y1")
-        )
-        rr = right.select(
-            F.col(TID).alias("tid2"), F.col(self.x).alias("x2"), F.col(self.y).alias("y2")
-        )
-        px = {"<": F.col("x1") < F.col("x2"), "<=": F.col("x1") <= F.col("x2"),
-              ">": F.col("x1") > F.col("x2"), ">=": F.col("x1") >= F.col("x2")}[self.opx]
-        py = {"<": F.col("y1") < F.col("y2"), "<=": F.col("y1") <= F.col("y2"),
-              ">": F.col("y1") > F.col("y2"), ">=": F.col("y1") >= F.col("y2")}[self.opy]
-        out = l.crossJoin(rr).where(px & py)
+        for a in self.dc.atoms:  # intra-partition pruning (Fig 2)
+            left = left.where(OPS[a.op](F.col(a.attr), self._extreme(a, c, True)))
+            right = right.where(OPS[a.op](self._extreme(a, r, False), F.col(a.attr)))
+        cols = {"tid": TID, "x": self.x, "y": self.y}
+        l = left.select(*(F.col(a).alias(f"{k}1") for k, a in cols.items()))
+        rr = right.select(*(F.col(a).alias(f"{k}2") for k, a in cols.items()))
+        opx, opy = (OPS[a.op] for a in self.dc.atoms)
+        out = l.crossJoin(rr).where(opx(F.col("x1"), F.col("x2")) & opy(F.col("y1"), F.col("y2")))
         if r == c:
             out = out.where(F.col("tid1") != F.col("tid2"))
         return out
@@ -197,42 +188,31 @@ class ThetaJoinCleaner:
         return out.localCheckpoint(eager=True)
 
     # -- Algorithm 2 -------------------------------------------------------
-    def estimate_errors(self) -> dict[int, float]:
+    def _estimate(self, one_task: GroupedData) -> dict[int, float]:
         """Per-row-bucket estimated violating-*tuple* counts (Alg. 2 line 6).
 
-        For each ordered bucket pair whose x-ranges allow the x-atom, the
+        For each ordered bucket pair (r ≠ c) that is feasible, the
         y-boundary overlap identifies the candidate violators: the tuples of
-        the row bucket whose y strictly exceeds (for a ``>`` y-atom) the
-        partner bucket's minimum y.  Counting with the per-bucket y
-        quantiles makes the estimate exact-zero on DC-satisfying monotone
-        data while outlier dirty values surface immediately — which is what
-        lets the 0.2%/2% versions of Fig 10 stay on partial cleaning and
-        pushes the 20% version to a full clean.
+        bucket r strictly past c's y extreme (above its minimum y for a
+        ``>``/``>=`` y-atom, below its maximum for ``<``/``<=``).  Counting
+        exactly makes the estimate zero on DC-satisfying monotone data while
+        outlier dirty values surface immediately — which is what lets the
+        0.2%/2% versions of Fig 10 stay on partial cleaning and pushes the
+        20% version to a full clean.  One single-task aggregate counts, per
+        row bucket, the tuples past each partner's extreme.
         """
-        import numpy as _np
-
-        est: dict[int, float] = {i: 0.0 for i in range(self.nb)}
-        strict_gt = self.opy in (">", ">=")
-        for r in range(self.nb):
-            ys_r = self._bucket_ys.get(r)
-            if ys_r is None or len(ys_r) == 0:
-                continue
-            for c in range(self.nb):
-                if r == c or not self.feasible(r, c):
-                    continue
-                bc = self.buckets.get(c)
-                if bc is None:
-                    continue
-                if strict_gt:
-                    # candidate violators in r: y strictly above c's min y
-                    n_above = len(ys_r) - _np.searchsorted(ys_r, bc.y_lo, side="right")
-                    est[r] += float(n_above)
-                else:
-                    n_below = _np.searchsorted(ys_r, bc.y_hi, side="left")
-                    est[r] += float(n_below)
-        # a tuple violating against many buckets is one erroneous tuple
-        for r in est:
-            est[r] = est[r] / max(1, self.nb - 1)
+        ay = self.dc.atoms[1]
+        strictly_past = OPS[ay.op[0]]  # "<=" counts as "<", ">=" as ">"
+        rows = one_task.agg(*(
+            F.count_if(strictly_past(F.col(self.y), self._extreme(ay, c, True))).alias(f"c{c}")
+            for c in self.bounds
+        )).collect()
+        est = {i: 0.0 for i in range(self.nb)}
+        for row in rows:
+            r = row["__bx"]
+            past = sum(row[f"c{c}"] for c in self.bounds if c != r and self.feasible(r, c))
+            # a tuple violating against many buckets is one erroneous tuple
+            est[r] = past / max(1, self.nb - 1)
         return est
 
     def accuracy(self, result_buckets: set[int], result_size: int) -> tuple[float, float]:
@@ -242,8 +222,7 @@ class ThetaJoinCleaner:
         narrative's reading ("predicts 23% accuracy → cleans the whole
         dataset"); support is the fraction of checked diagonal partitions.
         """
-        est = self.estimate_errors()
-        errors = sum(v for b, v in est.items() if b not in result_buckets)
+        errors = sum(v for b, v in self.estimate.items() if b not in result_buckets)
         acc = result_size / (result_size + errors) if (result_size + errors) > 0 else 1.0
         diag_total = self.nb
         diag_checked = sum(1 for i in range(self.nb) if (i, i) in self.checked)

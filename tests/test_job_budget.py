@@ -14,6 +14,7 @@ from repro.core.constraints import DC, FD, Atom
 from repro.core.daisy import DaisySession
 from repro.core.offline import offline_clean
 from repro.core.planner import Filter, JoinSpec, Query
+from repro.core.thetajoin import ThetaJoinCleaner
 from repro.datagen import ssb
 from repro.datagen.errors import inject_dc_errors, monotone_discount
 
@@ -33,6 +34,9 @@ OFFLINE_JOBS = 13
 #: count), then of the same query again, which scans no new matrix pair and
 #: only counts its answer
 DC_JOBS = {"dc": 5, "dc-repeat": 2}
+#: jobs of building the theta-join cleaner of that DC table: quantiles,
+#: bucketed checkpoint, bucket bounds and the Alg. 2 estimate
+THETA_JOBS = 5
 #: allowance for a plan shape that varies with the Spark version
 SLACK = 2
 
@@ -86,13 +90,17 @@ def test_join_job_budget(spark, ssb_small):
     assert got <= JOIN_JOBS + SLACK, got
 
 
-def test_execute_dc_job_budget(spark):
+def _dc_table(spark):
     g = np.random.default_rng(3)
     pdf = pd.DataFrame({"extendedprice": (g.random(300) * 5000).round(0)})
     pdf["discount"] = monotone_discount(pdf["extendedprice"].to_numpy(), levels=15)
     dirty, _ = inject_dc_errors(pdf, "extendedprice", "discount", frac_rows=0.03, seed=4)
+    return prob.spark_with_tid(spark, dirty)
+
+
+def test_execute_dc_job_budget(spark):
     sess = DaisySession(
-        spark, {"t": prob.spark_with_tid(spark, dirty)}, {"t": [PRICE_DC]},
+        spark, {"t": _dc_table(spark)}, {"t": [PRICE_DC]},
         use_cost_model=False, dc_partitions=16,
     )
     q = Query("t", [Filter("extendedprice", "between", 0.0, 2500.0)])
@@ -102,6 +110,14 @@ def test_execute_dc_job_budget(spark):
     }
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= DC_JOBS[k] + SLACK for k in DC_JOBS), got
+
+
+def test_theta_join_build_job_budget(spark):
+    df = _dc_table(spark).localCheckpoint(eager=True)
+    got = _jobs(
+        spark, "job-budget-theta", lambda: ThetaJoinCleaner(df, PRICE_DC, partitions=16)
+    )
+    assert got <= THETA_JOBS + SLACK, got
 
 
 def test_offline_clean_job_budget(spark, ssb_small):

@@ -10,15 +10,59 @@ from repro.datagen.errors import inject_dc_errors, monotone_discount
 
 DC_RULE = DC((Atom("salary", "<"), Atom("tax", ">")), name="dc_sal_tax")
 
+#: 16 rows with ties in both attributes: salary 1..16 with 8 and 12 repeated,
+#: tax 1..16 with 9 and 14 repeated; with ``partitions=4`` the two rows of
+#: salary 8 are the lowest of the upper bucket
+TIES = pd.DataFrame({
+    "salary": [1, 2, 3, 4, 5, 6, 7, 8, 8, 10, 11, 12, 12, 14, 15, 16],
+    "tax": [1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 11, 12, 13, 14, 14, 16],
+}).astype(float)
 
-def _brute_force(pdf: pd.DataFrame) -> set[tuple[int, int]]:
-    out = set()
-    vals = list(pdf[["salary", "tax"]].itertuples(index=True))
-    for i, si, ti in vals:
-        for j, sj, tj in vals:
-            if i != j and si < sj and ti > tj:
-                out.add((i, j))
-    return out
+
+def _brute_force(pdf: pd.DataFrame, dc: DC) -> set[tuple[int, int]]:
+    rows = pdf[["salary", "tax"]].to_dict("records")
+    return {
+        (i, j)
+        for i, t1 in enumerate(rows)
+        for j, t2 in enumerate(rows)
+        if i != j and dc.violates(t1, t2)
+    }
+
+
+def _reference_estimate(theta: ThetaJoinCleaner) -> tuple[dict, set]:
+    """Alg. 2's estimate and the feasible pairs, from sorted per-bucket ys.
+
+    The driver-side formula the cleaner used before it computed the
+    estimate in Spark: per row bucket r and feasible partner c ≠ r, the
+    tuples of r with y strictly above c's minimum y (``>``/``>=`` y-atom)
+    or strictly below its maximum (``<``/``<=``), over ``nb - 1``.
+    """
+    pdf = theta.data.toPandas()
+    groups = pdf.groupby("__bx")
+    xlo, xhi = groups[theta.x].min(), groups[theta.x].max()
+    ylo, yhi = groups[theta.y].min(), groups[theta.y].max()
+    ys = {int(b): np.sort(g[theta.y].to_numpy()) for b, g in groups}
+    opx, opy = (a.op for a in theta.dc.atoms)
+
+    def rng_ok(lo1, hi1, op, lo2, hi2):
+        if op in ("<", "<="):
+            return lo1 < hi2 or (op == "<=" and lo1 <= hi2)
+        return hi1 > lo2 or (op == ">=" and hi1 >= lo2)
+
+    feasible = {
+        (r, c) for r in ys for c in ys
+        if rng_ok(xlo[r], xhi[r], opx, xlo[c], xhi[c])
+        and rng_ok(ylo[r], yhi[r], opy, ylo[c], yhi[c])
+    }
+    est = {i: 0.0 for i in range(theta.nb)}
+    for r, c in feasible:
+        if r == c:
+            continue
+        if opy in (">", ">="):
+            est[r] += float(len(ys[r]) - np.searchsorted(ys[r], ylo[c], side="right"))
+        else:
+            est[r] += float(np.searchsorted(ys[r], yhi[c], side="left"))
+    return {r: v / max(1, theta.nb - 1) for r, v in est.items()}, feasible
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +76,20 @@ def dc_data(spark):
 
 
 class TestDetection:
-    def test_full_matrix_matches_brute_force(self, dc_data):
-        dirty, _, d = dc_data
-        theta = ThetaJoinCleaner(d, DC_RULE, partitions=16)
-        viol = theta.detect(None).toPandas()
-        got = set(zip(viol["tid1"], viol["tid2"]))
-        assert got == _brute_force(dirty)
+    # at |x| ≥ 16384 a bound ± 1e-12 is the bound itself in float64, so an
+    # epsilon-widened pruning filter drops ties on a bucket edge
+    @pytest.mark.parametrize("offset", [0, 100000])
+    @pytest.mark.parametrize(
+        "opx,opy", [("<", ">"), ("<=", ">"), ("<=", ">="), (">=", "<"), (">", "<=")]
+    )
+    def test_full_matrix_matches_brute_force(self, spark, dc_data, opx, opy, offset):
+        dc = DC((Atom("salary", opx), Atom("tax", opy)))
+        for pdf, partitions in ((dc_data[0], 16), (TIES, 4)):
+            pdf = pdf.assign(salary=pdf["salary"] + offset)
+            theta = ThetaJoinCleaner(prob.spark_with_tid(spark, pdf), dc, partitions=partitions)
+            viol = theta.detect(None).toPandas()
+            got = set(zip(viol["tid1"], viol["tid2"]))
+            assert got == _brute_force(pdf, dc)
 
     def test_incremental_union_equals_full(self, dc_data):
         dirty, _, d = dc_data
@@ -104,11 +156,30 @@ class TestAccuracyEstimation:
             accs.append(acc)
         assert accs[1] < accs[0]
 
+    @pytest.mark.parametrize("partitions", [16, 36])
+    @pytest.mark.parametrize("opx,opy", [("<", ">"), ("<=", "<"), (">", ">="), (">=", "<=")])
+    def test_estimate_matches_reference(self, dc_data, opx, opy, partitions):
+        _, _, d = dc_data
+        dc = DC((Atom("salary", opx), Atom("tax", opy)))
+        theta = ThetaJoinCleaner(d, dc, partitions=partitions)
+        est, feasible = _reference_estimate(theta)
+        assert theta.estimate == est
+        pairs = {(r, c) for r in range(theta.nb) for c in range(theta.nb)}
+        assert {p for p in pairs if theta.feasible(*p)} == feasible
+
     def test_bucket_of(self, dc_data):
         _, _, d = dc_data
         theta = ThetaJoinCleaner(d, DC_RULE, partitions=16)
         assert theta.bucket_of(float(theta.splits[0])) == 0
         assert theta.bucket_of(float(theta.splits[-1]) + 1) == theta.nb - 1
+
+    @pytest.mark.parametrize("partitions", [4, 16, 36])
+    def test_bucket_of_matches_spark_buckets(self, dc_data, partitions):
+        _, _, d = dc_data
+        theta = ThetaJoinCleaner(d, DC_RULE, partitions=partitions)
+        pdf = theta.data.toPandas()
+        assert set(theta.splits) <= set(pdf["salary"])  # rows on every split point
+        assert [theta.bucket_of(v) for v in pdf["salary"]] == pdf["__bx"].tolist()
 
 
 class TestConstruction:
