@@ -1,9 +1,11 @@
 """Assemble EXPERIMENTS.md from benchmarks/results/*.json.
 
-Run after ``pytest benchmarks/ --benchmark-only`` or ``python jobs/run.py
-<name>``; each harness saved its paper-vs-measured payload there.  Keeps commentary blocks maintained here so
-re-rendering after a re-run refreshes the numbers without losing the
-analysis.
+Run after ``python jobs/run.py <name>`` or ``pytest benchmarks/
+--benchmark-only``.  Both go through ``repro.experiments.run``, which saves
+each experiment's paper-vs-measured payload there before it checks the
+paper's claim, so a claim that failed is rendered with its numbers too.
+Keeps commentary blocks maintained here so re-rendering after a re-run
+refreshes the numbers without losing the analysis.
 """
 from __future__ import annotations
 

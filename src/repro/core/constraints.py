@@ -12,6 +12,7 @@ reproduction supports the two families the paper evaluates:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -43,7 +44,17 @@ class FD:
         return bool(self.attrs & set(query_attrs))
 
 
-# operator string -> (python comparator, inverse operator)
+#: the comparator of each op, on Python values and on Spark Columns alike
+OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "!=": operator.ne,
+}
+
+#: each op's negation
 _INVERSE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
 
@@ -55,7 +66,7 @@ class Atom:
     op: str  # applied as: t1.attr  op  t2.attr
 
     def __post_init__(self) -> None:
-        if self.op not in _INVERSE:
+        if self.op not in OPS:
             raise ValueError(f"unsupported op {self.op!r}")
 
     @property
@@ -63,14 +74,7 @@ class Atom:
         return _INVERSE[self.op]
 
     def holds(self, v1, v2) -> bool:
-        return {
-            "<": v1 < v2,
-            "<=": v1 <= v2,
-            ">": v1 > v2,
-            ">=": v1 >= v2,
-            "=": v1 == v2,
-            "!=": v1 != v2,
-        }[self.op]
+        return OPS[self.op](v1, v2)
 
 
 @dataclass(frozen=True)

@@ -303,7 +303,3 @@ class DaisySession:
     def table(self, name: str) -> DataFrame:
         """The current (gradually cleaned) probabilistic table."""
         return self.tables[name]
-
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.records)
-

@@ -25,6 +25,8 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.core.constraints import OPS
+
 TID = "__tid"
 CAND_SUFFIX = "__cands"
 CHECKED_PREFIX = "__checked__"
@@ -94,18 +96,8 @@ def ensure_checked(df: DataFrame, rule_names: Iterable[str]) -> DataFrame:
 
 def pred_column(value_col: Column, op: str, value, value2=None) -> Column:
     """Build a boolean predicate over a (possibly candidate) value column."""
-    if op == "=":
-        return value_col == F.lit(value)
-    if op == "!=":
-        return value_col != F.lit(value)
-    if op == "<":
-        return value_col < F.lit(value)
-    if op == "<=":
-        return value_col <= F.lit(value)
-    if op == ">":
-        return value_col > F.lit(value)
-    if op == ">=":
-        return value_col >= F.lit(value)
+    if op in OPS:
+        return OPS[op](value_col, F.lit(value))
     if op == "between":  # inclusive, like SQL BETWEEN
         return (value_col >= F.lit(value)) & (value_col <= F.lit(value2))
     if op == "in":

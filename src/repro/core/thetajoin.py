@@ -28,17 +28,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 
 from pyspark.sql import DataFrame, GroupedData
 from pyspark.sql import functions as F
 
-from repro.core.constraints import DC, Atom
+from repro.core.constraints import DC, OPS, Atom
 from repro.core.planner import Filter
 from repro.core.prob import TID
-
-#: the comparator of each inequality op, on floats and on Spark Columns alike
-OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class ThetaJoinCleaner:
@@ -52,7 +48,7 @@ class ThetaJoinCleaner:
     def __init__(self, dataset: DataFrame, dc: DC, *, partitions: int = 64):
         if len(dc.atoms) != 2:
             raise ValueError("ThetaJoinCleaner handles two-atom DCs")
-        if any(a.op not in OPS for a in dc.atoms):
+        if any(a.op not in ("<", "<=", ">", ">=") for a in dc.atoms):
             raise ValueError("atoms must be inequalities")
         self.dc = dc
         self.x = dc.atoms[0].attr
@@ -86,8 +82,7 @@ class ThetaJoinCleaner:
         """CASE-WHEN ladder assigning each value its quantile bucket index."""
         b = None
         for i in range(self.nb):
-            hi = self.splits[i + 1]
-            cond = col < F.lit(hi) if i < self.nb - 1 else F.lit(True)
+            cond = col < F.lit(self.splits[i + 1]) if i < self.nb - 1 else F.lit(True)
             b = F.when(cond, F.lit(i)) if b is None else b.when(cond, F.lit(i))
         return b
 

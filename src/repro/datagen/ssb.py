@@ -7,14 +7,13 @@ served by exactly one supplier), then perturbed by BART-like error injection
 suppkeys is a knob (paper: 5K–100K orderkeys, 100–10K suppkeys) because it
 controls group sizes and therefore relaxation / repair cost.
 
-All generators are deterministic in ``seed`` and return Spark DataFrames
-built from pandas (row counts here are ≤ a few hundred thousand).
+All generators are deterministic in ``seed`` and return pandas DataFrames
+(row counts here are ≤ a few hundred thousand).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 # Scaled-down row counts: the paper's lineorder is 60 MB (~600K rows); we
 # default to 60K rows (documented substitution in DESIGN.md §4-5).
@@ -80,50 +79,3 @@ def supplier_pdf(*, n_suppkeys: int = 100, rows_per_supp: int = 4, seed: int = 8
         }
     )
     return pdf.sample(frac=1.0, random_state=seed).reset_index(drop=True)
-
-
-def part_pdf(*, n_partkeys: int = 2_000, seed: int = 9) -> pd.DataFrame:
-    g = _rng(seed)
-    pk = np.arange(1, n_partkeys + 1)
-    return pd.DataFrame(
-        {
-            "partkey": pk,
-            "p_brand": np.array([f"MFGR#{1 + k % 5}{1 + k % 8}{1 + k % 40}" for k in pk]),
-            "p_category": np.array([f"MFGR#{1 + k % 5}{1 + k % 5}" for k in pk]),
-            "p_color": g.choice(["red", "green", "blue", "ivory", "plum"], n_partkeys),
-        }
-    )
-
-
-def date_pdf(*, n_dates: int = 2_000, seed: int = 10) -> pd.DataFrame:
-    dk = np.arange(1, n_dates + 1)
-    base = pd.to_datetime("1992-01-01") + pd.to_timedelta(dk - 1, unit="D")
-    return pd.DataFrame(
-        {
-            "datekey": dk,
-            "d_date": base.strftime("%Y-%m-%d"),
-            "d_year": base.year.astype("int64"),
-            "d_month": base.month.astype("int64"),
-        }
-    )
-
-
-def customer_pdf(*, n_custkeys: int = 3_000, seed: int = 11) -> pd.DataFrame:
-    g = _rng(seed)
-    ck = np.arange(1, n_custkeys + 1)
-    return pd.DataFrame(
-        {
-            "custkey": ck,
-            "c_city": np.array([f"city_{k % 250}" for k in ck]),
-            "c_nation": np.array([f"nation_{k % 25}" for k in ck]),
-            "c_region": np.array([f"region_{k % 5}" for k in ck]),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n_custkeys
-            ),
-        }
-    )
-
-
-def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Materialize a pandas table as a Spark DataFrame."""
-    return spark.createDataFrame(pdf)

@@ -8,7 +8,6 @@ from typing import Any
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import prob
 from repro.core.daisy import DaisySession
 from repro.core.offline import OfflineResult, offline_clean
 from repro.core.operators import run_query
@@ -81,7 +80,3 @@ def run_offline_workload(
         "repaired": off.repaired,
         "timed_out": False,
     }
-
-
-def spark_table(spark: SparkSession, pdf) -> DataFrame:
-    return prob.spark_with_tid(spark, pdf)

@@ -100,3 +100,13 @@ def run_table5(spark: SparkSession, *, n_hospitals: int = 168, seed: int = 42) -
             "holoclean_sim": round(res_hc.seconds, 1),
         }
     return out
+
+
+def check_table5(out: dict) -> None:
+    # shape assertions from the paper: DaisyP is clearly worst with φ1 alone,
+    # everything is strong once φ2 (and φ3) are known
+    m = out["measured"]
+    assert m["phi1"]["daisyP"][2] < 0.7  # F1 well below the multi-rule regime
+    for rs in ("phi1+phi2", "phi1+phi2+phi3"):
+        for system in ("holoclean", "daisyH", "daisyP"):
+            assert m[rs][system][2] >= 0.9

@@ -66,3 +66,11 @@ def run_table6(
         row["holoclean"] = round(res.seconds, 1)
         out["measured"][name] = row
     return out
+
+
+def check_table6(out: dict) -> None:
+    m = out["measured"]
+    for rs in m:
+        assert m[rs]["daisy"] <= m[rs]["full"]  # Daisy ≤ full cleaning
+    # response time grows with the number of rules for the Spark cleaners
+    assert m["phi1+phi2+phi3"]["full"] > m["phi1"]["full"]

@@ -75,3 +75,11 @@ def run_table7(spark: SparkSession, *, n_hospitals: int = 400, seed: int = 42) -
     holo["total"] = round(sum(v for k, v in holo.items() if k != "total"), 1)
     out["measured"]["holoclean"] = holo
     return out
+
+
+def check_table7(out: dict) -> None:
+    m = out["measured"]
+    # the single provenance-keeping execution beats three from-scratch runs
+    assert m["one_exec"]["total"] < m["three_exec"]["total"]
+    # and its incremental steps get cheaper than the matching fresh runs
+    assert m["one_exec"]["phi1+phi2+phi3"] < m["three_exec"]["phi1+phi2+phi3"]

@@ -26,12 +26,6 @@ class TestSSB:
         s = ssb.supplier_pdf(n_suppkeys=50)
         assert s.groupby("address")["suppkey"].nunique().max() == 1
 
-    def test_part_date_customer_shapes(self):
-        assert len(ssb.part_pdf(n_partkeys=100)) == 100
-        d = ssb.date_pdf(n_dates=50)
-        assert set(d.columns) >= {"datekey", "d_year", "d_month"}
-        assert len(ssb.customer_pdf(n_custkeys=70)) == 70
-
 
 class TestFDErrors:
     def test_every_edit_creates_violation(self):

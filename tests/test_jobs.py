@@ -1,8 +1,12 @@
-"""The ``jobs/run.py`` registry: one runner for every benchmarked experiment."""
+"""The experiment registry and its one runner, as ``jobs/run.py`` uses them."""
 import importlib.util
+import json
 import pathlib
 
 import pytest
+
+from repro import experiments
+from repro.experiments import common
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -15,10 +19,23 @@ def runner():
     return mod
 
 
-def test_registry_names_the_benchmarked_experiments(runner):
-    # benchmarks/test_<name>_<what>.py, one per experiment
-    benchmarked = {p.stem.split("_")[1] for p in (ROOT / "benchmarks").glob("test_*.py")}
-    assert set(runner.EXPERIMENTS) == benchmarked
+def test_registry_names_the_benchmarked_experiments():
+    # the payloads jobs/render_experiments.py reads, one per experiment
+    recorded = {p.stem for p in (ROOT / "benchmarks" / "results").glob("*.json")}
+    assert set(experiments.EXPERIMENTS) == recorded
+
+
+def test_run_saves_before_it_checks(monkeypatch, tmp_path):
+    def fail(out):
+        assert out["measured"] > 1, "claim does not hold"
+
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "fake", (lambda spark: {"measured": 1}, fail)
+    )
+    monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+    with pytest.raises(AssertionError, match="claim does not hold"):
+        experiments.run("fake", None)
+    assert json.loads((tmp_path / "fake.json").read_text()) == {"measured": 1}
 
 
 def test_unknown_experiment_exits_nonzero(runner, capsys):

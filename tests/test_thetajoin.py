@@ -18,6 +18,9 @@ TIES = pd.DataFrame({
     "tax": [1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 11, 12, 13, 14, 14, 16],
 }).astype(float)
 
+#: 6 rows whose salary has a single distinct value: one bucket, one cut point
+SINGLE = pd.DataFrame({"salary": [5.0] * 6, "tax": [1, 2, 3, 4, 5, 6]}).astype(float)
+
 
 def _brute_force(pdf: pd.DataFrame, dc: DC) -> set[tuple[int, int]]:
     rows = pdf[["salary", "tax"]].to_dict("records")
@@ -84,7 +87,7 @@ class TestDetection:
     )
     def test_full_matrix_matches_brute_force(self, spark, dc_data, opx, opy, offset):
         dc = DC((Atom("salary", opx), Atom("tax", opy)))
-        for pdf, partitions in ((dc_data[0], 16), (TIES, 4)):
+        for pdf, partitions in ((dc_data[0], 16), (TIES, 4), (SINGLE, 4)):
             pdf = pdf.assign(salary=pdf["salary"] + offset)
             theta = ThetaJoinCleaner(prob.spark_with_tid(spark, pdf), dc, partitions=partitions)
             viol = theta.detect(None).toPandas()
