@@ -2,7 +2,8 @@
 
     python jobs/run.py fig10        # or table5, table6, ..., fig12
 
-The result is saved under ``benchmarks/results/<name>.json`` (the file
+The JVM is warmed up first, untimed (``common.warm_up``).  The result is
+saved under ``benchmarks/results/<name>.json`` (the file
 ``jobs/render_experiments.py`` reads) and printed as JSON; then the paper's
 claim is checked, and a claim that does not hold exits non-zero.
 """
@@ -13,6 +14,7 @@ import argparse
 from pyspark.sql import SparkSession
 
 from repro.experiments import EXPERIMENTS, run
+from repro.experiments.common import warm_up
 
 
 def get_spark(app: str) -> SparkSession:
@@ -31,7 +33,9 @@ def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("experiment", choices=sorted(EXPERIMENTS))
     name = ap.parse_args(argv).experiment
-    run(name, get_spark(f"daisy-{name}"))
+    spark = get_spark(f"daisy-{name}")
+    warm_up(spark)
+    run(name, spark)
 
 
 if __name__ == "__main__":

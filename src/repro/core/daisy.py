@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import detect, operators, repair, update
@@ -38,7 +38,7 @@ from repro.core.prob import (
     ensure_cands,
     ensure_checked,
 )
-from repro.core.repair_dc import count_dirty_tids, dc_fixes
+from repro.core.repair_dc import FIX_COLS, REPAIRED, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
 
@@ -83,7 +83,7 @@ class DaisySession:
         self.cost: dict[str, CostModel] = {}
         self.fully_cleaned: set[str] = set()
         self.dc_repairs: dict[str, DataFrame] = {}
-        self._dc_pairs: dict[tuple[str, str], DataFrame] = {}
+        self._dc_state: dict[tuple[str, str], DataFrame] = {}
         self.records: list[QueryRecord] = []
         self.switched_at: int | None = None
         self._dc_partitions = dc_partitions
@@ -120,12 +120,12 @@ class DaisySession:
                 self.theta[(table, r.name)] = ThetaJoinCleaner(
                     df, r, partitions=self._dc_partitions
                 )
-        self.tables[table] = df.localCheckpoint(eager=True)
+        self.tables[table], row = update.checkpoint(df, F.count("*").alias("n"))
         fds = [fd for fd, _w in self.fd_rules[table]]
         tables = repair.build_tables(self.tables[table], fds, self.rule_tables[table])
         # cost model over the union of FD rules of this table: ε and p come
         # from the precomputed lhs and rhs group-bys (§5.2.3)
-        n = self.tables[table].count()
+        n = row["n"]
         eps, groups, p = 0, 0, 0.0
         for fd in fds:
             g, t, pp = detect.dirty_group_summary(tables.stats[fd.name])
@@ -229,15 +229,16 @@ class DaisySession:
         size of their result; the filters give the matrix buckets in scope
         (:meth:`repro.core.thetajoin.ThetaJoinCleaner.buckets_for`).
 
-        The state of each (table, DC) is the union of the checkpointed
-        violation frames its queries detected; each matrix pair is scanned
-        once, so the union has at most one frame per query and no pair
-        twice.  A query that scans new pairs adds its frame and rebuilds
-        ``dc_repairs[table]`` as :func:`repro.core.repair_dc.dc_fixes` of
-        every pair found so far, checkpointed in one job: what the offline
-        cleaner computes once the matrix is covered.  A query that scans no
-        new pair (a repeat, or any query after a ``full`` pass) launches no
-        job here and repairs nothing.
+        The state of each (table, DC) is one checkpointed frame of range
+        counts and the fix rows derived from them
+        (:func:`repro.core.repair_dc.dc_fixes`); each matrix pair is scanned
+        once, so no pair is counted twice.  A query that scans new pairs
+        adds their counts to the state in one job, which also observes the
+        distinct tids the pairs touch (``repaired``); ``dc_repairs[table]``
+        projects the fix rows of the table's states, which is what the
+        offline cleaner computes once the matrix is covered.  A query that
+        scans no new pair (a repeat, or any query after a ``full`` pass)
+        launches no job here and repairs nothing.
         """
         theta = self.theta[(table, dc.name)]
         buckets = theta.buckets_for(filters)
@@ -253,19 +254,17 @@ class DaisySession:
         if theta.pairs_scanned == scanned:
             # no matrix pair scanned, so no violation found; the lazy empty
             # fixes keep a ``dc_repairs`` entry for every DC-queried table
-            self.dc_repairs.setdefault(table, dc_fixes(viol, dc))
+            if table not in self.dc_repairs:
+                self.dc_repairs[table] = dc_fixes(viol, dc).select(*FIX_COLS)
             return
         key = (table, dc.name)
-        prev = self._dc_pairs.get(key)
-        self._dc_pairs[key] = viol if prev is None else prev.unionByName(viol)
-        fixes = [
-            dc_fixes(self._dc_pairs[(table, d.name)], d)
-            for d in self.dc_rules[table] if (table, d.name) in self._dc_pairs
-        ]
-        self.dc_repairs[table] = reduce(DataFrame.unionByName, fixes).localCheckpoint(
-            eager=True
-        )
-        rec.repaired += count_dirty_tids(viol)
+        obs = Observation()
+        state = dc_fixes(viol, dc, self._dc_state.get(key), obs)
+        self._dc_state[key] = state.localCheckpoint(eager=True)
+        self.dc_repairs[table] = reduce(DataFrame.unionByName, [
+            s.select(*FIX_COLS) for (t, _d), s in self._dc_state.items() if t == table
+        ])
+        rec.repaired += obs.get[REPAIRED]
 
     # ------------------------------------------------------------------ #
     def full_clean(self, table: str) -> None:

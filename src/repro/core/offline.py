@@ -31,13 +31,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core import detect, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.prob import CAND_SUFFIX, TID, checked_col, ensure_cands, ensure_checked
-from repro.core.repair_dc import count_dirty_tids, dc_fixes
+from repro.core.repair_dc import FIX_COLS, REPAIRED, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
 
@@ -85,11 +85,12 @@ def offline_clean(
         def fixes_of(rows: DataFrame) -> DataFrame:
             fixed = repair.compute_repairs(rows, fd_worlds, tables)
             cells = [c for c in fixed.columns if c.endswith(CAND_SUFFIX)]
-            return fixed.select(TID, *cells).localCheckpoint(eager=True)
+            return fixed.select(TID, *cells)
 
+        n_rows = F.count("*").alias("n")
         if mode == "vectorized":
-            fixes = fixes_of(out)
-            repaired = fixes.count()
+            fixes, row = update.checkpoint(fixes_of(out), n_rows)
+            repaired = row["n"]
             out = update.apply_repairs(out, fixes)
             passes = 1
         elif mode == "per_group":
@@ -115,7 +116,7 @@ def offline_clean(
                         cond = kc if cond is None else (cond | kc)
                     # the lookup merges the worlds of every rule a row is
                     # dirty under, not only this batch's
-                    fix_frames.append(fixes_of(out.where(cond)))
+                    fix_frames.append(fixes_of(out.where(cond)).localCheckpoint(eager=True))
                     passes += 1
                 if timed_out:
                     break
@@ -125,8 +126,8 @@ def offline_clean(
                     fixes = fixes.unionByName(f)
                 # a tuple may be repaired in several batches (one per rule);
                 # repairs are full recomputations, keep one row per tid
-                fixes = fixes.dropDuplicates([TID]).localCheckpoint(eager=True)
-                repaired = fixes.count()
+                fixes, row = update.checkpoint(fixes.dropDuplicates([TID]), n_rows)
+                repaired = row["n"]
                 out = update.apply_repairs(out, fixes)
         else:
             raise ValueError(f"unknown mode {mode!r}")
@@ -134,10 +135,11 @@ def offline_clean(
     dc_rep = None
     for dc in dcs:
         theta = ThetaJoinCleaner(out, dc, partitions=dc_partitions)
-        viol = theta.detect(None)
-        fx = dc_fixes(viol, dc).localCheckpoint(eager=True)
+        obs = Observation()
+        fx = dc_fixes(theta.detect(None), dc, observation=obs).localCheckpoint(eager=True)
+        fx = fx.select(*FIX_COLS)
         dc_rep = fx if dc_rep is None else dc_rep.unionByName(fx)
-        repaired += count_dirty_tids(viol)
+        repaired += obs.get[REPAIRED]
     return OfflineResult(
         table=out,
         seconds=time.time() - t0,

@@ -84,9 +84,9 @@ def clean_sigma(
     answer: a checked answer can relax into unchecked groups.
 
     Otherwise each phase is one pass: detection puts each rule's group
-    facts on the region rows as flags (one checkpoint), one aggregate
-    counts them, repair looks up the dirty rows' cells, and the update is
-    one broadcast join.  With no repair and no newly checked group the
+    facts on the region rows as flags (one checkpoint, which also counts
+    them), repair looks up the dirty rows' cells, and the update is one
+    broadcast join.  With no repair and no newly checked group the
     dataset is returned as it is.
     """
     st = CleanStats()
@@ -110,8 +110,9 @@ def clean_sigma(
     if row["unchecked"] == 0:
         return dataset, st
 
-    flagged = _detect(region, fds, tables.stats).localCheckpoint(eager=True)
-    row = flagged.coalesce(1).agg(*[F.count_if(c).alias(c) for c in (DIRTY, CHANGED)]).first()
+    flagged, row = update.checkpoint(
+        _detect(region, fds, tables.stats), *[F.count_if(c).alias(c) for c in (DIRTY, CHANGED)]
+    )
     st.repaired = row[DIRTY]
     if row[CHANGED] == 0:
         return dataset, st
@@ -163,12 +164,13 @@ def clean_side(
     """One query input: filter it, then clean_σ the answer under ``fds``.
 
     ``fds`` are the input's FD rules the plan cleans ``after`` the filter;
-    with none, the answer is only counted.  Returns ``(updated, stats)``.
+    with none, the answer is only counted, in one task as
+    :func:`clean_sigma` counts its region.  Returns ``(updated, stats)``.
     The answer stays a lazy filter over the (checkpointed) dataset.
     """
     answer = apply_filters(dataset, filters)
     if not fds:
-        return dataset, CleanStats(answer=answer.count())
+        return dataset, CleanStats(answer=answer.coalesce(1).agg(F.count("*")).first()[0])
     return clean_sigma(dataset, answer, fds, all_rules, tables, filters, relax_mode=relax_mode)
 
 

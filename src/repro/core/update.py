@@ -12,11 +12,12 @@ per-rule checked markers are OR-merged.
 Every update is followed by ``localCheckpoint(eager=True)``: a 50-90 query
 session otherwise accretes an unbounded Catalyst plan (the classic iterative-
 algorithm pitfall), and checkpointing also materializes the "gradually
-cleaned" dataset the paper describes.
+cleaned" dataset the paper describes.  A count over the rows a checkpoint
+materializes rides on that checkpoint's job (:func:`checkpoint`).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core.prob import CAND_SUFFIX, CHECKED_PREFIX, TID
@@ -42,3 +43,14 @@ def apply_repairs(dataset: DataFrame, delta: DataFrame) -> DataFrame:
             merged[c] = F.coalesce(F.col(f"__new_{c}"), F.col(c))
     out = dataset.join(F.broadcast(new), TID, "left").withColumns(merged)
     return out.drop(*new.columns[1:]).localCheckpoint(eager=True)
+
+
+def checkpoint(df: DataFrame, *metrics: Column) -> tuple[DataFrame, dict]:
+    """``df`` checkpointed, and ``metrics`` aggregated over its rows.
+
+    The metrics are an ``Observation`` on the checkpoint's own job, so they
+    cost no extra Spark job; observed metrics take no distinct aggregates.
+    """
+    obs = Observation()
+    out = df.observe(obs, *metrics).localCheckpoint(eager=True)
+    return out, obs.get

@@ -9,8 +9,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import prob
-from repro.core.constraints import DC, Atom
+from repro.core import daisy, prob, repair_dc
+from repro.core.constraints import DC, OPS, Atom
 from repro.core.daisy import DaisySession
 from repro.core.offline import offline_clean
 from repro.core.planner import Filter, Query
@@ -98,3 +98,120 @@ class TestNoNewPair:
             assert rec.repaired == 0
         pd.testing.assert_frame_equal(_rows(sess.dc_repairs["t"]), before)
         assert sess.theta[("t", PRICE_DC.name)].detect(None).count() == 0
+
+
+class TestRepeatBuildsNoFixPlan:
+    """A query that scans no new pair does not even build a fix plan."""
+
+    def test_repeat_query_calls_no_dc_fixes(self, spark, dirty, monkeypatch):
+        sess = DaisySession(
+            spark, {"t": prob.spark_with_tid(spark, dirty)}, {"t": [PRICE_DC]},
+            use_cost_model=False, dc_partitions=PARTITIONS,
+        )
+        q = _queries(dirty, 4)[0]
+        sess.execute(q).count()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return repair_dc.dc_fixes(*args, **kwargs)
+
+        monkeypatch.setattr(daisy, "dc_fixes", counting)
+        sess.execute(q).count()
+        assert calls == [] and sess.records[-1].repaired == 0
+
+
+def _violating_pairs(pdf: pd.DataFrame, dc: DC) -> tuple[np.ndarray, np.ndarray]:
+    """All (t1, t2) row positions violating ``dc``, by brute force."""
+    ax, ay = dc.atoms
+    x, y = pdf[ax.attr].to_numpy(), pdf[ay.attr].to_numpy()
+    hit = OPS[ax.op](x[:, None], x[None, :]) & OPS[ay.op](y[:, None], y[None, :])
+    np.fill_diagonal(hit, False)
+    return np.nonzero(hit)
+
+
+class TestTwoDCs:
+    """Two inequality DCs on one table: one count state each, one fix frame."""
+
+    TAX_DC = DC((Atom("extendedprice", "<"), Atom("tax", ">")), name="dc_tax")
+
+    @pytest.fixture(scope="class")
+    def two(self, dirty):
+        out = dirty.copy()
+        out["tax"] = monotone_discount(out["extendedprice"].to_numpy(), levels=500)
+        out, _ = inject_dc_errors(out, "extendedprice", "tax", frac_rows=0.01, shift=0.2, seed=6)
+        return out
+
+    def test_fix_rows_identical_to_offline(self, spark, two):
+        rules = [PRICE_DC, self.TAX_DC]
+        sess = DaisySession(
+            spark, {"t": prob.spark_with_tid(spark, two)}, {"t": rules},
+            use_cost_model=False, dc_partitions=PARTITIONS, accuracy_threshold=0.0,
+        )
+        for q in _queries(two, 4):
+            sess.execute(q).count()
+        assert {r.dc_mode for r in sess.records} == {"partial"}
+        off = offline_clean(prob.spark_with_tid(spark, two), rules, dc_partitions=PARTITIONS)
+        got, want = _rows(sess.dc_repairs["t"]), _rows(off.dc_repairs)
+        assert want["attr"].nunique() == 3  # both DCs found pairs
+        pd.testing.assert_frame_equal(got, want)
+
+
+class TestRepairedIsNewPairTids:
+    """Each query's ``repaired`` is the distinct tids of the pairs it found."""
+
+    def test_against_brute_force(self, spark, dirty):
+        sess = DaisySession(
+            spark, {"t": prob.spark_with_tid(spark, dirty)}, {"t": [PRICE_DC]},
+            use_cost_model=False, dc_partitions=PARTITIONS, accuracy_threshold=0.0,
+        )
+        theta = sess.theta[("t", PRICE_DC.name)]
+        t1, t2 = _violating_pairs(dirty, PRICE_DC)
+        bucket = np.array([theta.bucket_of(v) for v in dirty["extendedprice"]])
+        b1, b2 = bucket[t1], bucket[t2]
+        seen: set[int] = set()
+        for q in _queries(dirty, 4):
+            sess.execute(q).count()
+            scope = theta.buckets_for(q.filters)
+            # a bucket pair is scanned by the first query whose scope touches it
+            new = (np.isin(b1, list(scope)) | np.isin(b2, list(scope))) & ~(
+                np.isin(b1, list(seen)) | np.isin(b2, list(seen))
+            )
+            want = len(set(t1[new]) | set(t2[new]))
+            assert sess.records[-1].repaired == want
+            seen |= scope
+        assert sess.records[0].repaired > 0
+
+
+class TestCountsAddAcrossQueries:
+    """Pairs found by different queries that give a tid one range add up."""
+
+    def test_shared_key_sums_to_offline_p(self, spark):
+        # t0 has the lowest price and an outlier discount: it violates against
+        # every other row, and all of them share one discount, so each of its
+        # pairs gives t0 the same discount range (-inf, 0.1]
+        pdf = pd.DataFrame({
+            "extendedprice": [100.0 * (i + 1) for i in range(12)],
+            "discount": [0.9] + [0.1] * 11,
+        })
+        sess = DaisySession(
+            spark, {"t": prob.spark_with_tid(spark, pdf)}, {"t": [PRICE_DC]},
+            use_cost_model=False, dc_partitions=9, accuracy_threshold=0.0,
+        )
+        theta = sess.theta[("t", PRICE_DC.name)]
+        prices = sorted(pdf["extendedprice"], reverse=True)
+        # one query per bucket, t0's bucket last
+        by_bucket: dict[int, list[float]] = {}
+        for v in prices:
+            by_bucket.setdefault(theta.bucket_of(v), []).append(v)
+        assert len(by_bucket) >= 3
+        for vs in by_bucket.values():
+            sess.execute(Query("t", [Filter("extendedprice", "in", vs)])).count()
+            # each query pairs t0 with every row of its bucket
+            assert sess.records[-1].repaired == len(vs) + (100.0 not in vs)
+        cell = sess.dc_repairs["t"].toPandas().query("tid == 0 and attr == 'discount'")
+        rng = cell[cell["lo"] == -np.inf]
+        assert len(rng) == 1 and rng["hi"].iloc[0] == 0.1
+        assert rng["p"].iloc[0] == pytest.approx(11 / 22)
+        off = offline_clean(prob.spark_with_tid(spark, pdf), [PRICE_DC], dc_partitions=9)
+        pd.testing.assert_frame_equal(_rows(sess.dc_repairs["t"]), _rows(off.dc_repairs))

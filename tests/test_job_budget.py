@@ -8,6 +8,7 @@ tracker.
 """
 import numpy as np
 import pandas as pd
+from pyspark.sql import DataFrame
 
 from repro.core import prob
 from repro.core.constraints import DC, FD, Atom
@@ -21,19 +22,25 @@ from repro.datagen.errors import inject_dc_errors, monotone_discount
 PHI = FD(("orderkey",), "suppkey", name="phi")
 PRICE_DC = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dc")
 
-#: jobs of the queries below: a two-round lhs query that repairs, then the
+#: jobs of the queries below: a two-round lhs query that repairs (its
+#: detection checkpoint also counts the dirty and changed rows), then the
 #: same query again, which repairs nothing and leaves the table as it is
 #: (two relaxation rounds and the region count, no detection)
-JOBS = {"repairs": 12, "repeat": 3}
+JOBS = {"repairs": 11, "repeat": 3}
 #: jobs of a lineorder ⋈ supplier join over the whole suppkey domain after the
-#: repairing query, answer included: every row it relaxes into is checked
-JOIN_JOBS = 9
-#: jobs of a vectorized offline clean of the same table under φ
-OFFLINE_JOBS = 13
-#: jobs of a DC range query (answer count 2, detection, fixes, repaired
-#: count), then of the same query again, which scans no new matrix pair and
-#: only counts its answer
-DC_JOBS = {"dc": 5, "dc-repeat": 2}
+#: repairing query, answer included: every row it relaxes into is checked,
+#: and the rule-free supplier answer is counted in one task
+JOIN_JOBS = 8
+#: jobs of a vectorized offline clean of the same table under φ; the fixes'
+#: checkpoint counts its rows
+OFFLINE_JOBS = 11
+#: jobs of building a session over that table under φ: its checkpoint
+#: counts the rows, then the statistics and candidate tables
+INIT_JOBS = 10
+#: jobs of a DC range query (answer count, detection, and the fix state's
+#: checkpoint, which also counts the repaired tids), then of the same query
+#: again, which scans no new matrix pair and only counts its answer
+DC_JOBS = {"dc": 3, "dc-repeat": 1}
 #: jobs of building the theta-join cleaner of that DC table: quantiles,
 #: bucketed checkpoint, bucket bounds and the Alg. 2 estimate
 THETA_JOBS = 5
@@ -70,6 +77,22 @@ def test_execute_job_budget(spark, ssb_small):
     }
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= JOBS[k] + SLACK for k in JOBS), got
+
+
+def test_session_init_job_budget(spark, ssb_small, monkeypatch):
+    _, dirty, _ = ssb_small
+    df = prob.spark_with_tid(spark, dirty)
+
+    def no_count(self):
+        raise AssertionError("the row count rides on the table's checkpoint")
+
+    monkeypatch.setattr(DataFrame, "count", no_count)
+    made = []
+    got = _jobs(spark, "job-budget-init", lambda: made.append(DaisySession(
+        spark, {"lineorder": df}, {"lineorder": [PHI]}, use_cost_model=False,
+    )))
+    assert made[0].cost["lineorder"].n == len(dirty)
+    assert got <= INIT_JOBS + SLACK, got
 
 
 def test_join_job_budget(spark, ssb_small):
