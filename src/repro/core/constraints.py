@@ -39,6 +39,12 @@ class FD:
     def single_lhs(self) -> bool:
         return len(self.lhs) == 1
 
+    @property
+    def cand_attrs(self) -> list[str]:
+        """The attributes repair gives candidate cells, sorted: the rhs,
+        and the lhs if it is one attribute (:mod:`repro.core.repair`)."""
+        return sorted(self.attrs) if self.single_lhs else [self.rhs]
+
     def overlaps(self, query_attrs: set[str]) -> bool:
         """§4.1: the rule affects query correctness iff (X∪Y)∩(P∪W) ≠ ∅."""
         return bool(self.attrs & set(query_attrs))

@@ -30,14 +30,7 @@ from repro.core import detect, operators, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.cost import CostModel, QueryCost
 from repro.core.planner import Filter, PlanOp, Query, build_plan
-from repro.core.prob import (
-    CAND_SUFFIX,
-    TID,
-    base_attrs,
-    checked_col,
-    ensure_cands,
-    ensure_checked,
-)
+from repro.core.prob import TID, base_attrs, checked_col, ensure_cands, ensure_checked
 from repro.core.repair_dc import FIX_COLS, REPAIRED, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
@@ -113,7 +106,7 @@ class DaisySession:
             if isinstance(r, FD):
                 world = repair.lhs_world(len(self.fd_rules[table]))
                 self.fd_rules[table].append((r, world))
-                df = ensure_cands(df, [a for a in r.attrs if len(r.lhs) == 1 or a == r.rhs])
+                df = ensure_cands(df, r.cand_attrs)
                 df = ensure_checked(df, [r.name])
             else:
                 self.dc_rules[table].append(r)
@@ -160,48 +153,37 @@ class DaisySession:
     def execute(self, q: Query) -> DataFrame:
         """Run one query: clean what its plan says, return the cleaned result.
 
-        Each input is filtered and cleaned under its ``after`` FD ops
-        (:func:`repro.core.operators.clean_side`; both inputs of a join via
-        ``clean_join``), then each ``clean_dc`` op runs on its table, and
-        the answer is the probabilistic query over the updated tables.
+        The plan opens each input with a ``scan``: the left input, then a
+        join's right input.  Each input in turn is filtered and cleaned
+        under its ``after`` FD ops (:func:`repro.core.operators.clean_side`)
+        on its table as the previous input left it (a self-join's right
+        input sees the left input's repairs), then its ``clean_dc`` ops run
+        with its filters.  The answer is the probabilistic query over the
+        updated tables (Definition 3's re-evaluated join, Lemma 5).
         """
         t0 = time.time()
         rec = QueryRecord(0.0, 0, 0, 0)
         ops = self.plan(q)
-        filters = {q.table: q.filters}
-        if q.join is not None:
-            filters[q.join.right_table] = q.join.right_filters
-        fds = {
-            t: [fd for fd, _w in self.fd_rules[t]
-                if PlanOp("clean_sigma", t, fd.name, "after") in ops]
-            for t in filters
-        }
-        if q.join is None:
-            t = q.table
+        scans = [i for i, o in enumerate(ops) if o.op == "scan"]
+        inputs = [q.filters] + ([q.join.right_filters] if q.join is not None else [])
+        for filters, start, end in zip(inputs, scans, scans[1:] + [len(ops)]):
+            side = ops[start:end]
+            t = side[0].table
+            fds = [fd for fd, _w in self.fd_rules[t]
+                   if PlanOp("clean_sigma", t, fd.name, "after") in side]
             self.tables[t], st = operators.clean_side(
-                self.tables[t], q.filters, fds[t], self.fd_rules[t], self.rule_tables[t],
+                self.tables[t], filters, fds, self.fd_rules[t], self.rule_tables[t],
                 relax_mode=self.relax_mode,
             )
-            side_stats = {t: st}
-        else:
-            lt, rt = q.table, q.join.right_table
-            self.tables[lt], self.tables[rt], _joined, lst, rst = operators.clean_join(
-                self.tables[lt], self.tables[rt], q, fds[lt], fds[rt],
-                self.fd_rules[lt], self.fd_rules[rt], self.rule_tables[lt], self.rule_tables[rt],
-                relax_mode=self.relax_mode,
-            )
-            side_stats = {lt: lst, rt: rst}
-        for st in side_stats.values():
             rec.answer += st.answer
             rec.extras += st.extras
             rec.repaired += st.repaired
             rec.relax_iters = max(rec.relax_iters, st.relax_iters)
-        if not any(fds.values()):
+            for o in side:
+                if o.op == "clean_dc":
+                    self._clean_dc(t, self.theta[(t, o.rule)].dc, filters, st.answer, rec)
+        if not any(o.op == "clean_sigma" and o.placement == "after" for o in ops):
             rec.strategy = "clean" if q.table in self.fully_cleaned else "no-rule"
-        for o in ops:
-            if o.op == "clean_dc":
-                dc = self.theta[(o.table, o.rule)].dc
-                self._clean_dc(o.table, dc, filters[o.table], side_stats[o.table].answer, rec)
         result = operators.run_query(self.tables, q)
         rec.seconds = time.time() - t0
         self.records.append(rec)
@@ -242,7 +224,7 @@ class DaisySession:
         """
         theta = self.theta[(table, dc.name)]
         buckets = theta.buckets_for(filters)
-        acc, support = theta.accuracy(buckets, max(1, answer))
+        acc, _support = theta.accuracy(buckets, max(1, answer))
         rec.dc_accuracy = acc
         scanned = theta.pairs_scanned
         if acc < self.accuracy_threshold:
@@ -270,7 +252,9 @@ class DaisySession:
     def full_clean(self, table: str) -> None:
         """Clean the remaining FD-dirty part of ``table`` in one pass (§5.2.3).
 
-        Only unchecked violating groups are repaired — the part already
+        The rows some rule has not checked yet go through the full-clean
+        pass offline cleaning runs (:func:`repro.core.repair.repair_all`),
+        which keeps only the members of violating groups; the part already
         cleaned incrementally is not re-done (Fig 7: "cleaning is applied
         over the remaining dirty part of the dataset").  DCs stay cleaned
         per query: the plan places them after the filter on every table.
@@ -278,23 +262,11 @@ class DaisySession:
         df = self.tables[table]
         rules = self.fd_rules[table]
         if rules:
-            fds = [fd for fd, _w in rules]
-            tables = self.rule_tables[table]
-            # the rows of a violating group not yet checked under its rule
-            rows, todo = df, []
-            for i, fd in enumerate(fds):
-                vg = detect.violating_groups(tables.stats[fd.name], fd)
-                rows = rows.join(
-                    F.broadcast(vg.withColumn(f"__vg{i}", F.lit(True))), list(fd.lhs), "left"
-                )
-                todo.append(~F.col(checked_col(fd.name)) & F.col(f"__vg{i}").isNotNull())
-            rows = rows.where(reduce(Column.__or__, todo)).select(*df.columns)
-            # the full clean examines every group of every rule
-            checked = {checked_col(fd.name): F.lit(True) for fd in fds}
-            fixes = repair.compute_repairs(rows.withColumns(checked), rules, tables)
-            cells = [c for c in fixes.columns if c.endswith(CAND_SUFFIX)]
+            checked = [checked_col(fd.name) for fd, _w in rules]
+            todo = reduce(Column.__or__, [~F.col(c) for c in checked])
+            fixes = repair.repair_all(df.where(todo), rules, self.rule_tables[table])
             self.tables[table] = update.apply_repairs(
-                df.withColumns(checked), fixes.select(TID, *cells)
+                df.withColumns({c: F.lit(True) for c in checked}), fixes
             )
         self.fully_cleaned.add(table)
 

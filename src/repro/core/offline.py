@@ -36,7 +36,7 @@ from pyspark.sql import functions as F
 
 from repro.core import detect, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
-from repro.core.prob import CAND_SUFFIX, TID, checked_col, ensure_cands, ensure_checked
+from repro.core.prob import TID, checked_col, ensure_cands, ensure_checked
 from repro.core.repair_dc import FIX_COLS, REPAIRED, dc_fixes
 from repro.core.thetajoin import ThetaJoinCleaner
 
@@ -70,7 +70,7 @@ def offline_clean(
     fds = [r for r in rules if isinstance(r, FD)]
     dcs = [r for r in rules if isinstance(r, DC)]
     fd_worlds = [(fd, repair.lhs_world(i)) for i, fd in enumerate(fds)]
-    out = ensure_cands(df, sorted({a for fd in fds for a in (fd.attrs if fd.single_lhs else {fd.rhs})}))
+    out = ensure_cands(df, sorted({a for fd in fds for a in fd.cand_attrs}))
     out = ensure_checked(out, [fd.name for fd in fds]).localCheckpoint(eager=True)
 
     tables = repair.build_tables(out, fds)
@@ -78,18 +78,11 @@ def offline_clean(
     repaired = 0
     timed_out = False
     if fds:
-        # a full clean examines every group of every rule: every member of
-        # a violating group is repaired under every rule it is dirty under
+        # a full clean examines every group of every rule (repair.repair_all)
         out = out.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
-
-        def fixes_of(rows: DataFrame) -> DataFrame:
-            fixed = repair.compute_repairs(rows, fd_worlds, tables)
-            cells = [c for c in fixed.columns if c.endswith(CAND_SUFFIX)]
-            return fixed.select(TID, *cells)
-
         n_rows = F.count("*").alias("n")
         if mode == "vectorized":
-            fixes, row = update.checkpoint(fixes_of(out), n_rows)
+            fixes, row = update.checkpoint(repair.repair_all(out, fd_worlds, tables), n_rows)
             repaired = row["n"]
             out = update.apply_repairs(out, fixes)
             passes = 1
@@ -116,7 +109,10 @@ def offline_clean(
                         cond = kc if cond is None else (cond | kc)
                     # the lookup merges the worlds of every rule a row is
                     # dirty under, not only this batch's
-                    fix_frames.append(fixes_of(out.where(cond)).localCheckpoint(eager=True))
+                    fix_frames.append(
+                        repair.repair_all(out.where(cond), fd_worlds, tables)
+                        .localCheckpoint(eager=True)
+                    )
                     passes += 1
                 if timed_out:
                     break

@@ -74,14 +74,17 @@ def clean_sigma(
 
     The region is one filter over ``dataset``: the filters' predicate or
     any rule's relaxation predicate (:func:`relax.relax_fd`); the filters'
-    predicate also marks its answer rows.  One aggregate counts the
-    region's rows, its answer rows and its rows unchecked under any of
-    ``fds``.  With no unchecked row the dataset is returned as it is,
-    before detection, and this exit is exact: a row is ``CHANGED`` only if
-    it is unchecked, and a group is repaired (``VIOLATING``) only if all of
-    its ``group_size ≥ 1`` rows are unchecked, so detection would change
-    nothing and repair nothing.  The exit reads the region, not the
-    answer: a checked answer can relax into unchecked groups.
+    predicate also marks its answer rows; with several rules the region
+    takes in its rows' groups under all of them (:func:`relax.whole_groups`).
+    With no filter the answer is the whole dataset, so it is the region and
+    no relaxation round runs.  One aggregate counts the region's rows, its
+    answer rows and its rows unchecked under any of ``fds``.  With no
+    unchecked row the dataset is returned as it is, before detection, and
+    this exit is exact: a row is ``CHANGED`` only if it is unchecked, and a
+    group is repaired (``VIOLATING``) only if all of its ``group_size ≥ 1``
+    rows are unchecked, so detection would change nothing and repair
+    nothing.  The exit reads the region, not the answer: a checked answer
+    can relax into unchecked groups.
 
     Otherwise each phase is one pass: detection puts each rule's group
     facts on the region rows as flags (one checkpoint, which also counts
@@ -91,14 +94,17 @@ def clean_sigma(
     """
     st = CleanStats()
     in_answer = filter_predicate(dataset, filters)
-    preds = [in_answer]
-    max_iter = 0 if relax_mode == "closure" else None
-    for fd in fds:
-        side = filter_side(fd, filters)
-        pred, iters = relax.relax_fd(dataset, answer, fd, max_iter=max_iter, filter_side=side)
-        st.relax_iters = max(st.relax_iters, iters)
-        preds.append(pred)
-    region = dataset.where(reduce(Column.__or__, preds)).withColumn(IN_ANSWER, in_answer)
+    relaxed = in_answer
+    if filters:
+        max_iter = 0 if relax_mode == "closure" else None
+        for fd in fds:
+            side = filter_side(fd, filters)
+            pred, iters = relax.relax_fd(dataset, answer, fd, max_iter=max_iter, filter_side=side)
+            st.relax_iters = max(st.relax_iters, iters)
+            relaxed = relaxed | pred
+        if len(fds) > 1:
+            relaxed = relax.whole_groups(dataset, relaxed, fds)
+    region = dataset.where(relaxed).withColumn(IN_ANSWER, in_answer)
 
     unchecked = reduce(Column.__or__, [~F.col(checked_col(fd.name)) for fd in fds])
     # one task over a filter of the checkpointed dataset: no shuffle stage
@@ -193,18 +199,24 @@ def clean_join(
     updates each relation separately (:func:`clean_side`), (c) recomputes
     the (incremental, probabilistic) join — extra tuples produced by
     relaxation can only match already-qualifying partners (Lemma 5), so the
-    recomputation needs no further violation checks.
+    recomputation needs no further violation checks.  A self-join's right
+    input is cleaned on the left input's output.  The session runs (b) one
+    input at a time and (c) as its answer; this is Definition 3 as one
+    call, which the Table 4 tests exercise.
 
     Returns ``(left_updated, right_updated, join_result, lstats, rstats)``.
     """
     assert q.join is not None
+    self_join = q.join.right_table == q.table
     left_updated, lst = clean_side(
         left_dataset, q.filters, left_rules, left_all, left_tables, relax_mode=relax_mode
     )
     right_updated, rst = clean_side(
-        right_dataset, q.join.right_filters, right_rules, right_all, right_tables,
-        relax_mode=relax_mode,
+        left_updated if self_join else right_dataset, q.join.right_filters, right_rules,
+        right_all, right_tables, relax_mode=relax_mode,
     )
+    if self_join:
+        left_updated = right_updated
     # re-extract the (possibly grown) qualifying parts from the updated
     # relations and evaluate the probabilistic join
     lq = apply_filters(left_updated, q.filters)

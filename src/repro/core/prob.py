@@ -126,32 +126,23 @@ def possible_values(df: DataFrame, attr: str) -> Column:
     )
 
 
-def prob_equijoin(
-    left: DataFrame,
-    right: DataFrame,
-    left_on: str,
-    right_on: str,
-    *,
-    lprefix: str = "l",
-    rprefix: str = "r",
-) -> DataFrame:
+def prob_equijoin(left: DataFrame, right: DataFrame, left_on: str, right_on: str) -> DataFrame:
     """Probabilistic equi-join: pairs qualify iff candidate sets overlap.
 
-    Output columns are prefixed (``<lprefix>_<col>`` / ``<rprefix>_<col>``);
-    lineage tids (§4: the originating tuple IDs) are
-    ``<lprefix>_{TID}`` / ``<rprefix>_{TID}``.
+    Output columns are prefixed (``l_<col>`` / ``r_<col>``); lineage tids
+    (§4: the originating tuple IDs) are ``l_{TID}`` / ``r_{TID}``.
 
     One join of the renamed sides, each exploded to one row per possible
     join value; a pair whose candidate sets share several values joins once
     per shared value, so the pairs are de-duplicated on their lineage tids.
     """
     sides = []
-    for df, on, prefix in ((left, left_on, lprefix), (right, right_on, rprefix)):
+    for df, on, prefix in ((left, left_on, "l"), (right, right_on, "r")):
         cols = [F.col(c).alias(f"{prefix}_{c}") for c in df.columns]
         sides.append(df.select(*cols, F.explode(possible_values(df, on)).alias("__jv")))
     return (
         sides[0].join(sides[1], "__jv")
-        .dropDuplicates([f"{lprefix}_{TID}", f"{rprefix}_{TID}"])
+        .dropDuplicates([f"l_{TID}", f"r_{TID}"])
         .drop("__jv")
     )
 

@@ -61,36 +61,36 @@ def _keys(df: DataFrame, attrs: tuple[str, ...]) -> Column:
     )
 
 
-def _collect(region: DataFrame, fd: FD) -> tuple[int, list[str]]:
+def _collect(region: DataFrame, keyed: list[tuple[str, ...]]) -> tuple[int, list[str]]:
     """One single-task aggregate: ``region``'s rows with a value, and its value sets.
 
-    The value sets are the distinct lhs keys and rhs values of
-    :func:`_keys`, in that order, each as the JSON text of an array: one
-    string per set crosses to the driver and back, and Spark's JSON reads
-    back exactly the number and string values rules match on here.
+    The value sets are the distinct keys of :func:`_keys` of each attribute
+    tuple of ``keyed``, in that order, each as the JSON text of an array:
+    one string per set crosses to the driver and back, and Spark's JSON
+    reads back exactly the number and string values rules match on here.
     """
-    keys = [_keys(region, attrs) for attrs in (fd.lhs, (fd.rhs,))]
+    keys = [_keys(region, attrs) for attrs in keyed]
     row = region.coalesce(1).agg(
-        F.count_if(F.size(keys[0]) + F.size(keys[1]) > 0).alias("n"),
+        F.count_if(reduce(Column.__add__, [F.size(k) for k in keys]) > 0).alias("n"),
         *[F.to_json(F.array_distinct(F.flatten(F.collect_set(k)))).alias(f"s{i}")
           for i, k in enumerate(keys)],
     ).first()
-    return row["n"], [row["s0"], row["s1"]]
+    return row["n"], [row[f"s{i}"] for i in range(len(keys))]
 
 
-def _match(dataset: DataFrame, fd: FD, sets: list[str]) -> Column:
-    """Rows of ``dataset`` with a possible lhs or rhs value in ``sets``.
+def _match(dataset: DataFrame, keyed: list[tuple[str, ...]], sets: list[str]) -> Column:
+    """Rows of ``dataset`` with a possible key of some ``keyed`` tuple in its set.
 
     Each set is one array literal, folded once from its JSON text;
     ``arrays_overlap`` hashes a row's few keys and scans the set.
     """
     preds = []
-    for attrs, text in zip((fd.lhs, (fd.rhs,)), sets):
+    for attrs, text in zip(keyed, sets):
         fields = [dataset.schema[a] for a in attrs]
         elem = fields[0].dataType if len(fields) == 1 else T.StructType(fields)
         values = F.from_json(F.lit(text), T.ArrayType(elem))
         preds.append(F.arrays_overlap(_keys(dataset, attrs), values))
-    return preds[0] | preds[1]
+    return reduce(Column.__or__, preds)
 
 
 def relax_fd(
@@ -118,13 +118,29 @@ def relax_fd(
     if max_iter is None:
         max_iter = LEMMA_ITERS.get(filter_side, 2)
     closure = max_iter == 0
-    n, sets = _collect(answer, fd)
+    keyed = [fd.lhs, (fd.rhs,)]
+    n, sets = _collect(answer, keyed)
     iters = 0
     while True:
-        region = _match(dataset, fd, sets)
+        region = _match(dataset, keyed, sets)
         if not closure and iters + 1 == max_iter:
             return region, max_iter
-        m, sets = _collect(dataset.where(region), fd)
+        m, sets = _collect(dataset.where(region), keyed)
         if closure and m == n:
             return region, iters  # the empty round is termination detection, not work
         n, iters = m, iters + 1
+
+
+def whole_groups(dataset: DataFrame, region: Column, fds: list[FD]) -> Column:
+    """``region`` grown by every lhs group of its rows under each of ``fds``.
+
+    Each rule's rounds complete that rule's groups only, but a region row
+    can join the answer through one rule's candidates; without its groups
+    under the other rules it would be repaired under one rule where offline
+    repairs it under all.  One single-task aggregate collects the region's
+    lhs keys.  A row this adds cannot qualify: a row whose candidates can
+    meet the filters is matched by the first round of the rule giving them.
+    """
+    keyed = [fd.lhs for fd in fds]
+    _n, sets = _collect(dataset.where(region), keyed)
+    return region | _match(dataset, keyed, sets)

@@ -47,7 +47,7 @@ from pyspark.sql import functions as F
 from repro.core import detect
 from repro.core.constraints import FD
 from repro.core.detect import RHS_COUNTS
-from repro.core.prob import cand_type, cands_col, checked_col
+from repro.core.prob import CAND_SUFFIX, TID, cand_type, cands_col, checked_col
 
 #: world id of the rhs-varies (lhs kept) world, shared/merged across rules
 RHS_WORLD = 1
@@ -236,6 +236,19 @@ def compute_repairs(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTa
     cells = {cands_col(a): _cell(rows, a, ps) for a, ps in pieces.items()}
     kept = [cells.pop(c) if c in cells else F.col(c) for c in rows.columns]
     return out.where(_any(list(dirty.values()))).select(*kept, *cells.values())
+
+
+def repair_all(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTables) -> DataFrame:
+    """A full clean's fixes of ``rows``: ``TID`` and the candidate cells.
+
+    A full clean examines every group of every rule, so every rule's checked
+    flag is set before :func:`compute_repairs`: each member of a violating
+    group is repaired under every rule it is dirty under.  The session's
+    switch and both offline modes run this pass.
+    """
+    checked = {checked_col(fd.name): F.lit(True) for fd, _w in rules}
+    fixed = compute_repairs(rows.withColumns(checked), rules, tables)
+    return fixed.select(TID, *[c for c in fixed.columns if c.endswith(CAND_SUFFIX)])
 
 
 def _by_lhs_attr(fds: list[FD]) -> dict[str, list[FD]]:

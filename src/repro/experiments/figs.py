@@ -263,8 +263,8 @@ def run_fig12(spark: SparkSession, *, n_rows=8_000, n_queries=12) -> dict:
             "switched_at": r["switched_at"],
         }
     off = run_offline_workload(
-        spark, prob.spark_with_tid(spark, dirty), [PHI], sp, table="lineorder",
-        batch_size=10,
+        spark, prob.spark_with_tid(spark, dirty), [PHI], queries, table="lineorder",
+        batch_size=10, join_tables={"supplier": prob.spark_with_tid(spark, sup)},
     )
     out["measured"]["offline"] = {"seconds": round(off["seconds"], 1)}
     return out

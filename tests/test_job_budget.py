@@ -17,9 +17,10 @@ from repro.core.offline import offline_clean
 from repro.core.planner import Filter, JoinSpec, Query
 from repro.core.thetajoin import ThetaJoinCleaner
 from repro.datagen import ssb
-from repro.datagen.errors import inject_dc_errors, monotone_discount
+from repro.datagen.errors import inject_dc_errors, inject_fd_errors, monotone_discount
 
 PHI = FD(("orderkey",), "suppkey", name="phi")
+PSI = FD(("address",), "suppkey", name="psi")
 PRICE_DC = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dc")
 
 #: jobs of the queries below: a two-round lhs query that repairs (its
@@ -31,6 +32,19 @@ JOBS = {"repairs": 11, "repeat": 3}
 #: repairing query, answer included: every row it relaxes into is checked,
 #: and the rule-free supplier answer is counted in one task
 JOIN_JOBS = 8
+#: jobs of a fresh session's unfiltered query on that table: its answer is
+#: the whole table, so it is the region and no relaxation round runs (11
+#: while an unfiltered input still ran its two Lemma rounds)
+UNFILTERED_JOBS = 9
+#: jobs of the switch's full clean after the repairing query: the shared
+#: full-clean pass (two lookup broadcasts) and the update (5 while it also
+#: broadcast each rule's violating groups to pick its rows)
+FULL_CLEAN_JOBS = 4
+#: jobs of a fresh session's join of that orderkey range with the whole
+#: supplier table under ψ, answer included: the supplier input is
+#: unfiltered, so its region is the whole table (27 while it ran two Lemma
+#: rounds)
+RULED_RIGHT_JOIN_JOBS = 25
 #: jobs of a vectorized offline clean of the same table under φ; the fixes'
 #: checkpoint counts its rows
 OFFLINE_JOBS = 11
@@ -111,6 +125,49 @@ def test_join_job_budget(spark, ssb_small):
     got = _jobs(spark, "job-budget-join", lambda: sess.execute(q).count())
     assert sess.records[1].repaired == 0
     assert got <= JOIN_JOBS + SLACK, got
+
+
+def test_unfiltered_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sess = DaisySession(
+        spark, {"lineorder": prob.spark_with_tid(spark, dirty)}, {"lineorder": [PHI]},
+        use_cost_model=False,
+    )
+    got = _execute_jobs(spark, sess, Query("lineorder"), "job-budget-unfiltered")
+    assert sess.records[0].repaired > 0 and sess.records[0].relax_iters == 0
+    assert got <= UNFILTERED_JOBS + SLACK, got
+
+
+def test_full_clean_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sess = DaisySession(
+        spark, {"lineorder": prob.spark_with_tid(spark, dirty)}, {"lineorder": [PHI]},
+        use_cost_model=False,
+    )
+    sess.execute(Query("lineorder", [Filter("orderkey", "between", 1, 20)])).count()
+    got = _jobs(spark, "job-budget-full-clean", lambda: sess.full_clean("lineorder"))
+    assert "lineorder" in sess.fully_cleaned
+    assert got <= FULL_CLEAN_JOBS + SLACK, got
+
+
+def test_ruled_right_join_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sup, _ = inject_fd_errors(
+        ssb.supplier_pdf(n_suppkeys=20, rows_per_supp=3), ("address",), "suppkey",
+        frac_rows=0.3, seed=19,
+    )
+    sess = DaisySession(
+        spark,
+        {"lineorder": prob.spark_with_tid(spark, dirty),
+         "supplier": prob.spark_with_tid(spark, sup)},
+        {"lineorder": [PHI], "supplier": [PSI]},
+        use_cost_model=False,
+    )
+    q = Query("lineorder", [Filter("orderkey", "between", 1, 20)],
+              join=JoinSpec("supplier", "suppkey", "suppkey"))
+    got = _jobs(spark, "job-budget-ruled-right", lambda: sess.execute(q).count())
+    assert sess.records[0].repaired > 0
+    assert got <= RULED_RIGHT_JOIN_JOBS + SLACK, got
 
 
 def _dc_table(spark):
