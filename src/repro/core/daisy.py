@@ -10,7 +10,9 @@ dataset in place, and returns the cleaned (probabilistic) query result.
 Strategy switching (Figs 7/12): with the cost model enabled, after each
 query the session evaluates the incremental-vs-full inequality and, when it
 flips, cleans the remaining dirty part of the table in one pass and stops
-paying per-query cleaning cost.
+paying per-query cleaning cost.  A table whose every violating group has
+been repaired by queries stops paying it too, with no pass: nothing is left
+to clean.
 
 ``add_rules`` supports incremental rule arrival (Table 7): thanks to the
 provenance base columns, adding a rule only runs the new rule's detection
@@ -37,7 +39,13 @@ from repro.core.thetajoin import ThetaJoinCleaner
 
 @dataclass
 class QueryRecord:
-    """Per-query telemetry (drives EXPERIMENTS.md tables and tests)."""
+    """Per-query telemetry (drives EXPERIMENTS.md tables and tests).
+
+    ``answer``, ``extras`` and ``repaired`` add up the query's inputs.  An
+    input's answer is counted only where the count is used, by ``clean_σ``'s
+    region aggregate or by the Alg. 2 gate when its accuracy depends on it;
+    an input nothing cleans adds 0 to ``answer``.
+    """
 
     seconds: float
     answer: int
@@ -75,6 +83,9 @@ class DaisySession:
         self.theta: dict[tuple[str, str], ThetaJoinCleaner] = {}
         self.cost: dict[str, CostModel] = {}
         self.fully_cleaned: set[str] = set()
+        #: per table and FD, the rows of violating groups no query has
+        #: repaired yet (``dirty_group_summary``'s tuple count at first)
+        self.unrepaired: dict[str, dict[str, int]] = {}
         self.dc_repairs: dict[str, DataFrame] = {}
         self._dc_state: dict[tuple[str, str], DataFrame] = {}
         self.records: list[QueryRecord] = []
@@ -88,6 +99,7 @@ class DaisySession:
             self.fd_rules[name] = []
             self.dc_rules[name] = []
             self.rule_tables[name] = repair.RuleTables()
+            self.unrepaired[name] = {}
             self.add_rules(name, rules.get(name, []))
 
     # ------------------------------------------------------------------ #
@@ -99,7 +111,9 @@ class DaisySession:
         is Table 7's incremental rule arrival: only the new rule's tables
         (and the joint tables of the rules sharing its rhs) are built,
         detection for it runs over provenance values, and merging with
-        existing candidates happens at repair time.
+        existing candidates happens at repair time.  A new FD's count of
+        unrepaired rows starts at its tuples in violating groups, and the
+        table is no longer fully cleaned.
         """
         df = self.tables[table]
         for r in as_rules(new_rules):
@@ -125,6 +139,7 @@ class DaisySession:
             eps += t
             groups += g
             p = max(p, pp, repair.lhs_per_rhs(tables, fd))
+            self.unrepaired[table].setdefault(fd.name, t)
         avg_group = eps / groups if groups else 10.0
         self.cost[table] = CostModel(
             n=n,
@@ -158,11 +173,21 @@ class DaisySession:
         under its ``after`` FD ops (:func:`repro.core.operators.clean_side`)
         on its table as the previous input left it (a self-join's right
         input sees the left input's repairs), then its ``clean_dc`` ops run
-        with its filters.  The answer is the probabilistic query over the
-        updated tables (Definition 3's re-evaluated join, Lemma 5).
+        with its filters.  An input nothing cleans launches no Spark job.
+        The answer is the probabilistic query over the updated tables
+        (Definition 3's re-evaluated join, Lemma 5).
+
+        Once every violating group of every FD of a table is repaired, the
+        table is fully cleaned (:meth:`_count_repaired`): the plan places
+        its FD ops ``before``, so its inputs cost only the answer.  A query
+        that finds ``q.table`` not fully cleaned gives its cost model the
+        counts of the inputs on ``q.table``.
         """
         t0 = time.time()
         rec = QueryRecord(0.0, 0, 0, 0)
+        own = QueryCost(q_i=0, e_i=0, eps_i=0)
+        table = q.table
+        incremental = table not in self.fully_cleaned
         ops = self.plan(q)
         scans = [i for i, o in enumerate(ops) if o.op == "scan"]
         inputs = [q.filters] + ([q.join.right_filters] if q.join is not None else [])
@@ -175,41 +200,77 @@ class DaisySession:
                 self.tables[t], filters, fds, self.fd_rules[t], self.rule_tables[t],
                 relax_mode=self.relax_mode,
             )
-            rec.answer += st.answer
+            if fds:
+                self._count_repaired(t, st.violating)
+            answer = st.answer if fds else None
+            for o in side:
+                if o.op == "clean_dc":
+                    answer = self._clean_dc(t, self.theta[(t, o.rule)].dc, filters, answer, rec)
+            rec.answer += answer or 0
             rec.extras += st.extras
             rec.repaired += st.repaired
             rec.relax_iters = max(rec.relax_iters, st.relax_iters)
-            for o in side:
-                if o.op == "clean_dc":
-                    self._clean_dc(t, self.theta[(t, o.rule)].dc, filters, st.answer, rec)
+            if t == table:
+                own.q_i += answer or 0
+                own.e_i += st.extras
+                own.eps_i += st.repaired
         if not any(o.op == "clean_sigma" and o.placement == "after" for o in ops):
-            rec.strategy = "clean" if q.table in self.fully_cleaned else "no-rule"
+            rec.strategy = "clean" if table in self.fully_cleaned else "no-rule"
         result = operators.run_query(self.tables, q)
         rec.seconds = time.time() - t0
         self.records.append(rec)
         # cost-model strategy decision (Figs 7/12)
-        table = q.table
-        if (
-            self.use_cost_model
-            and table not in self.fully_cleaned
-            and self.fd_rules[table]
-        ):
+        if self.use_cost_model and incremental and self.fd_rules[table]:
             cm = self.cost[table]
-            cm.record(QueryCost(q_i=rec.answer, e_i=rec.extras, eps_i=rec.repaired))
-            if cm.should_switch():
+            cm.record(own)
+            if table not in self.fully_cleaned and cm.should_switch():
                 self.full_clean(table)
                 self.switched_at = len(self.records)
         return result
 
     # ------------------------------------------------------------------ #
+    def _count_repaired(self, table: str, violating: dict[str, int]) -> None:
+        """Take a query's repaired violating-group rows off each FD's count.
+
+        ``violating`` is ``CleanStats.violating``.  A group is repaired
+        once: ``clean_σ`` repairs only groups none of whose rows is checked,
+        and sets the checked flag of the whole group.  So the counts are
+        exact, and when every FD of ``table`` is at 0, every dirty row holds
+        the cells offline cleaning gives it and no ``clean_σ`` can change
+        the table: it is fully cleaned (:meth:`_mark_cleaned`).
+        """
+        left = self.unrepaired[table]
+        for name, rows in violating.items():
+            left[name] -= rows
+        if not any(left.values()):
+            self._mark_cleaned(table)
+
+    def _mark_cleaned(self, table: str) -> None:
+        """Mark ``table`` fully cleaned, its checked flags set, its counts 0.
+
+        The flags are a projection over the table, which runs no job.
+        """
+        rules = self.fd_rules[table]
+        self.tables[table] = self.tables[table].withColumns(
+            {checked_col(fd.name): F.lit(True) for fd, _w in rules}
+        )
+        self.unrepaired[table] = {fd.name: 0 for fd, _w in rules}
+        self.fully_cleaned.add(table)
+
+    # ------------------------------------------------------------------ #
     def _clean_dc(
-        self, table: str, dc: DC, filters: list[Filter], answer: int, rec: QueryRecord
-    ) -> None:
+        self, table: str, dc: DC, filters: list[Filter], answer: int | None, rec: QueryRecord
+    ) -> int | None:
         """Incremental theta-join cleaning with the Alg. 2 accuracy gate.
 
-        ``filters`` are the query's filters on ``table`` and ``answer`` the
-        size of their result; the filters give the matrix buckets in scope
+        ``filters`` are the query's filters on ``table``; they give the
+        matrix buckets in scope
         (:meth:`repro.core.thetajoin.ThetaJoinCleaner.buckets_for`).
+        ``answer`` is the size of their result if the input's FD clean
+        counted it, else None.  The gate's accuracy is |qa| / (|qa| + E),
+        with E the estimate outside the buckets in scope; with E = 0 it is
+        1 for any |qa|, so the answer is counted (in one task) only when
+        E > 0.  Returns ``answer``, counted if the gate counted it.
 
         The state of each (table, DC) is one checkpointed frame of range
         counts and the fix rows derived from them
@@ -224,7 +285,10 @@ class DaisySession:
         """
         theta = self.theta[(table, dc.name)]
         buckets = theta.buckets_for(filters)
-        acc, _support = theta.accuracy(buckets, max(1, answer))
+        if answer is None and theta.errors_outside(buckets):
+            qa = operators.apply_filters(self.tables[table], filters)
+            answer = qa.coalesce(1).agg(F.count("*")).first()[0]
+        acc, _support = theta.accuracy(buckets, max(1, answer or 0))
         rec.dc_accuracy = acc
         scanned = theta.pairs_scanned
         if acc < self.accuracy_threshold:
@@ -238,7 +302,7 @@ class DaisySession:
             # fixes keep a ``dc_repairs`` entry for every DC-queried table
             if table not in self.dc_repairs:
                 self.dc_repairs[table] = dc_fixes(viol, dc).select(*FIX_COLS)
-            return
+            return answer
         key = (table, dc.name)
         obs = Observation()
         state = dc_fixes(viol, dc, self._dc_state.get(key), obs)
@@ -247,6 +311,7 @@ class DaisySession:
             s.select(*FIX_COLS) for (t, _d), s in self._dc_state.items() if t == table
         ])
         rec.repaired += obs.get[REPAIRED]
+        return answer
 
     # ------------------------------------------------------------------ #
     def full_clean(self, table: str) -> None:
@@ -262,13 +327,10 @@ class DaisySession:
         df = self.tables[table]
         rules = self.fd_rules[table]
         if rules:
-            checked = [checked_col(fd.name) for fd, _w in rules]
-            todo = reduce(Column.__or__, [~F.col(c) for c in checked])
+            todo = reduce(Column.__or__, [~F.col(checked_col(fd.name)) for fd, _w in rules])
             fixes = repair.repair_all(df.where(todo), rules, self.rule_tables[table])
-            self.tables[table] = update.apply_repairs(
-                df.withColumns({c: F.lit(True) for c in checked}), fixes
-            )
-        self.fully_cleaned.add(table)
+            self.tables[table] = update.apply_repairs(df, fixes)
+        self._mark_cleaned(table)
 
     # ------------------------------------------------------------------ #
     def table(self, name: str) -> DataFrame:

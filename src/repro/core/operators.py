@@ -13,7 +13,7 @@ group-bys aggregate after cleaning on provenance grouping values).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from pyspark.sql import Column, DataFrame
@@ -27,12 +27,19 @@ from repro.core.prob import CAND_SUFFIX, TID, cands_col, checked_col, prob_equij
 
 @dataclass
 class CleanStats:
-    """Row counts a cleaning-operator invocation feeds the cost model."""
+    """Row counts a cleaning-operator invocation feeds the cost model.
+
+    ``violating`` maps each rule to the rows of its violating groups
+    repaired now, which the session totals per rule
+    (:meth:`repro.core.daisy.DaisySession._count_repaired`).  It breaks
+    ``repaired`` down by rule, so it takes no part in comparisons.
+    """
 
     answer: int = 0
     extras: int = 0
     repaired: int = 0
     relax_iters: int = 0
+    violating: dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def filter_predicate(df: DataFrame, filters: list[Filter]) -> Column:
@@ -51,6 +58,11 @@ def apply_filters(df: DataFrame, filters: list[Filter]) -> DataFrame:
 
 #: flag columns of the detected region (:func:`clean_sigma`)
 IN_ANSWER, DIRTY, CHANGED = "__in_answer", "__dirty", "__changed"
+
+
+def dirty_col(rule_name: str) -> str:
+    """Flag column of :func:`_detect`: the row's group under the rule is repaired now."""
+    return f"{DIRTY}__{rule_name}"
 
 
 def clean_sigma(
@@ -88,9 +100,9 @@ def clean_sigma(
 
     Otherwise each phase is one pass: detection puts each rule's group
     facts on the region rows as flags (one checkpoint, which also counts
-    them), repair looks up the dirty rows' cells, and the update is one
-    broadcast join.  With no repair and no newly checked group the
-    dataset is returned as it is.
+    them, per rule too: ``CleanStats.violating``), repair looks up the
+    dirty rows' cells, and the update is one broadcast join.  With no
+    repair and no newly checked group the dataset is returned as it is.
     """
     st = CleanStats()
     in_answer = filter_predicate(dataset, filters)
@@ -116,10 +128,12 @@ def clean_sigma(
     if row["unchecked"] == 0:
         return dataset, st
 
+    flags = [DIRTY, CHANGED, *[dirty_col(fd.name) for fd in fds]]
     flagged, row = update.checkpoint(
-        _detect(region, fds, tables.stats), *[F.count_if(c).alias(c) for c in (DIRTY, CHANGED)]
+        _detect(region, fds, tables.stats), *[F.count_if(c).alias(c) for c in flags]
     )
     st.repaired = row[DIRTY]
+    st.violating = {fd.name: row[dirty_col(fd.name)] for fd in fds}
     if row[CHANGED] == 0:
         return dataset, st
 
@@ -137,19 +151,22 @@ def _detect(region: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame
     """``region`` with the flags of :func:`detect.complete_groups` on its rows.
 
     Per rule, a row of a complete group gets its checked flag set, and a row
-    of a group to repair now is ``DIRTY``; ``CHANGED`` marks the rows whose
-    flags the update must write.  The group frames are broadcast (at most
-    one row per distinct lhs value of the region).
+    of a group to repair now is ``DIRTY`` (and :func:`dirty_col` of the
+    rule); ``CHANGED`` marks the rows whose flags the update must write.
+    The group frames are broadcast (at most one row per distinct lhs value
+    of the region).
     """
     groups = [detect.complete_groups(region, fd, stats_by_rule[fd.name]) for fd in fds]
     out = region.withColumns({DIRTY: F.lit(False), CHANGED: F.lit(False)})
     for fd, g in zip(fds, groups):
         cc = checked_col(fd.name)
         hit = F.col("__hit").isNotNull()
+        violating = F.coalesce(F.col(detect.VIOLATING), F.lit(False))
         out = (
             out.join(F.broadcast(g.withColumn("__hit", F.lit(True))), list(fd.lhs), "left")
             .withColumns({
-                DIRTY: F.col(DIRTY) | F.coalesce(F.col(detect.VIOLATING), F.lit(False)),
+                DIRTY: F.col(DIRTY) | violating,
+                dirty_col(fd.name): violating,
                 CHANGED: F.col(CHANGED) | (hit & ~F.col(cc)),
                 cc: F.col(cc) | hit,
             })
@@ -170,13 +187,14 @@ def clean_side(
     """One query input: filter it, then clean_σ the answer under ``fds``.
 
     ``fds`` are the input's FD rules the plan cleans ``after`` the filter;
-    with none, the answer is only counted, in one task as
-    :func:`clean_sigma` counts its region.  Returns ``(updated, stats)``.
-    The answer stays a lazy filter over the (checkpointed) dataset.
+    with none, nothing is cleaned and nothing is counted, so the input
+    launches no Spark job and its stats are zero.  Returns
+    ``(updated, stats)``.  The answer stays a lazy filter over the
+    (checkpointed) dataset.
     """
-    answer = apply_filters(dataset, filters)
     if not fds:
-        return dataset, CleanStats(answer=answer.coalesce(1).agg(F.count("*")).first()[0])
+        return dataset, CleanStats()
+    answer = apply_filters(dataset, filters)
     return clean_sigma(dataset, answer, fds, all_rules, tables, filters, relax_mode=relax_mode)
 
 

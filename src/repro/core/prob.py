@@ -133,18 +133,22 @@ def prob_equijoin(left: DataFrame, right: DataFrame, left_on: str, right_on: str
     (§4: the originating tuple IDs) are ``l_{TID}`` / ``r_{TID}``.
 
     One join of the renamed sides, each exploded to one row per possible
-    join value; a pair whose candidate sets share several values joins once
-    per shared value, so the pairs are de-duplicated on their lineage tids.
+    join value.  A pair whose candidate sets share several values joins
+    once per shared value and keeps the row of the smallest one; both
+    candidate sets are rebuilt from the output's own columns.  That is a
+    row filter, so the pairs need no de-duplicating shuffle.  A null value
+    matches nothing.
     """
     sides = []
     for df, on, prefix in ((left, left_on, "l"), (right, right_on, "r")):
         cols = [F.col(c).alias(f"{prefix}_{c}") for c in df.columns]
         sides.append(df.select(*cols, F.explode(possible_values(df, on)).alias("__jv")))
-    return (
-        sides[0].join(sides[1], "__jv")
-        .dropDuplicates([f"l_{TID}", f"r_{TID}"])
-        .drop("__jv")
+    joined = sides[0].join(sides[1], "__jv")
+    # numeric sides of different widths meet in the wider type, as in the join
+    shared = F.array_intersect(
+        possible_values(joined, f"l_{left_on}"), possible_values(joined, f"r_{right_on}")
     )
+    return joined.where(F.col("__jv") == F.array_min(shared)).drop("__jv")
 
 
 def cands_canonical(df: DataFrame, attr: str) -> pd.DataFrame:

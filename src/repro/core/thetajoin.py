@@ -210,6 +210,10 @@ class ThetaJoinCleaner:
             est[r] = past / max(1, self.nb - 1)
         return est
 
+    def errors_outside(self, result_buckets: set[int]) -> float:
+        """Alg. 2's estimated violating tuples outside ``result_buckets``."""
+        return sum(v for b, v in self.estimate.items() if b not in result_buckets)
+
     def accuracy(self, result_buckets: set[int], result_size: int) -> tuple[float, float]:
         """(estimated accuracy, support) for a query answer (Alg. 2 lines 4-7).
 
@@ -217,7 +221,7 @@ class ThetaJoinCleaner:
         narrative's reading ("predicts 23% accuracy → cleans the whole
         dataset"); support is the fraction of checked diagonal partitions.
         """
-        errors = sum(v for b, v in self.estimate.items() if b not in result_buckets)
+        errors = self.errors_outside(result_buckets)
         acc = result_size / (result_size + errors) if (result_size + errors) > 0 else 1.0
         diag_total = self.nb
         diag_checked = sum(1 for i in range(self.nb) if (i, i) in self.checked)

@@ -61,8 +61,10 @@ class TestSPFlow:
         c = prob.cands_canonical(sess.table("lineorder"), "suppkey")
         assert len(c) > 0
 
-    def test_plan_reports_incremental_then_full(self, spark, run):
-        sess, _ = run
+    def test_plan_reports_incremental_then_full(self, spark, small_session_inputs):
+        # a fresh session: the flow above repairs every violating group, so
+        # its table is fully cleaned already
+        sess = _fresh(spark, small_session_inputs, use_cost_model=False)
         q = Query("lineorder", [Filter("suppkey", "=", 1)])
         assert any(o.op == "clean_sigma" and o.placement == "after" for o in sess.plan(q))
         sess.fully_cleaned.add("lineorder")
@@ -221,6 +223,36 @@ class TestCostModelSwitch:
         sess.execute(Query("lineorder", [Filter("suppkey", "=", 1)])).count()
         sess.execute(Query("lineorder", [Filter("suppkey", "=", 2)])).count()
         assert sess.records[1].repaired == 0 and sess.records[1].strategy == "clean"
+
+
+class TestCostModelCountsItsTable:
+    """The cost model of a query's table records only that table's inputs."""
+
+    def test_join_records_the_left_input_only(self, spark, ssb_small):
+        _, dirty, _ = ssb_small
+        sup, _ = inject_fd_errors(
+            ssb.supplier_pdf(n_suppkeys=20, rows_per_supp=3), ("address",), "suppkey",
+            frac_rows=0.3, seed=19,
+        )
+        psi = FD(("address",), "suppkey", name="psi")
+        f = Filter("orderkey", "between", 1, 20)
+
+        def session(tables):
+            return DaisySession(
+                spark, {t: prob.spark_with_tid(spark, pdf) for t, pdf in tables.items()},
+                {"lineorder": [PHI], "supplier": [psi]}, use_cost_model=True, cost_safety=1e9,
+            )
+
+        # the join's lineorder input is this select, cleaned on the same table
+        alone = session({"lineorder": dirty})
+        alone.execute(Query("lineorder", [f])).count()
+        sess = session({"lineorder": dirty, "supplier": sup})
+        sess.execute(
+            Query("lineorder", [f], join=JoinSpec("supplier", "suppkey", "suppkey"))
+        ).count()
+        got = sess.cost["lineorder"].history[-1]
+        assert got.eps_i == alone.records[-1].repaired > 0
+        assert sess.records[-1].repaired > got.eps_i  # the supplier's repairs too
 
 
 class TestAddRules:

@@ -25,26 +25,38 @@ PRICE_DC = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dc")
 
 #: jobs of the queries below: a two-round lhs query that repairs (its
 #: detection checkpoint also counts the dirty and changed rows), then the
-#: same query again, which repairs nothing and leaves the table as it is
-#: (two relaxation rounds and the region count, no detection)
-JOBS = {"repairs": 11, "repeat": 3}
+#: same query again.  The first region holds every violating group, so the
+#: table is fully cleaned and the repeat runs no job (3 while it still ran
+#: two relaxation rounds and the region count)
+JOBS = {"repairs": 11, "repeat": 0}
 #: jobs of a lineorder ⋈ supplier join over the whole suppkey domain after the
-#: repairing query, answer included: every row it relaxes into is checked,
-#: and the rule-free supplier answer is counted in one task
-JOIN_JOBS = 8
+#: repairing query, answer included: lineorder is fully cleaned and the
+#: rule-free supplier is not counted, so only the answer runs (8 while the
+#: join relaxed, counted its region and the supplier answer, and the answer
+#: de-duplicated its pairs in a shuffle)
+JOIN_JOBS = 4
 #: jobs of a fresh session's unfiltered query on that table: its answer is
 #: the whole table, so it is the region and no relaxation round runs (11
 #: while an unfiltered input still ran its two Lemma rounds)
 UNFILTERED_JOBS = 9
-#: jobs of the switch's full clean after the repairing query: the shared
-#: full-clean pass (two lookup broadcasts) and the update (5 while it also
-#: broadcast each rule's violating groups to pick its rows)
-FULL_CLEAN_JOBS = 4
+#: jobs of a full clean after the repairing query, which leaves nothing to
+#: clean: the update's checkpoint of an empty delta (4 while the repairing
+#: query left the table marked not cleaned)
+FULL_CLEAN_JOBS = 1
+#: jobs of the switch's full clean after an rhs query that leaves violating
+#: groups unrepaired: the shared full-clean pass (two lookup broadcasts) and
+#: the update (5 while it also broadcast each rule's violating groups to
+#: pick its rows)
+FULL_CLEAN_PASS_JOBS = 4
 #: jobs of a fresh session's join of that orderkey range with the whole
 #: supplier table under ψ, answer included: the supplier input is
 #: unfiltered, so its region is the whole table (27 while it ran two Lemma
-#: rounds)
-RULED_RIGHT_JOIN_JOBS = 25
+#: rounds, 25 while the answer de-duplicated its pairs in a shuffle)
+RULED_RIGHT_JOIN_JOBS = 24
+#: jobs of an SP query on a fully cleaned table, answer count included:
+#: the answer's count only (4 while the input still ran a relaxation round
+#: and the region count)
+ANSWER_ONLY_JOBS = 2
 #: jobs of a vectorized offline clean of the same table under φ; the fixes'
 #: checkpoint counts its rows
 OFFLINE_JOBS = 11
@@ -55,6 +67,10 @@ INIT_JOBS = 10
 #: checkpoint, which also counts the repaired tids), then of the same query
 #: again, which scans no new matrix pair and only counts its answer
 DC_JOBS = {"dc": 3, "dc-repeat": 1}
+#: jobs of a DC query after a query over the whole matrix: no pair is left
+#: to scan and no bucket is outside its answer, so the Alg. 2 gate needs no
+#: count (1 while every DC input counted its answer)
+DC_DONE_JOBS = 0
 #: jobs of building the theta-join cleaner of that DC table: quantiles,
 #: bucketed checkpoint, bucket bounds and the Alg. 2 estimate
 THETA_JOBS = 5
@@ -150,6 +166,34 @@ def test_full_clean_job_budget(spark, ssb_small):
     assert got <= FULL_CLEAN_JOBS + SLACK, got
 
 
+def test_full_clean_pass_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sess = DaisySession(
+        spark, {"lineorder": prob.spark_with_tid(spark, dirty)}, {"lineorder": [PHI]},
+        use_cost_model=False,
+    )
+    sess.execute(Query("lineorder", [Filter("suppkey", "=", 1)])).count()
+    assert "lineorder" not in sess.fully_cleaned
+    got = _jobs(spark, "job-budget-full-clean-pass", lambda: sess.full_clean("lineorder"))
+    assert "lineorder" in sess.fully_cleaned
+    assert got <= FULL_CLEAN_PASS_JOBS + SLACK, got
+
+
+def test_answer_only_after_rule_done(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sess = DaisySession(
+        spark, {"lineorder": prob.spark_with_tid(spark, dirty)}, {"lineorder": [PHI]},
+        use_cost_model=False,
+    )
+    sess.execute(Query("lineorder")).count()
+    assert "lineorder" in sess.fully_cleaned
+    q = Query("lineorder", [Filter("suppkey", "between", 3, 9)])
+    assert _execute_jobs(spark, sess, q, "job-budget-rule-done-execute") == 0
+    got = _jobs(spark, "job-budget-rule-done", lambda: sess.execute(q).count())
+    assert sess.records[-1].strategy == "clean"
+    assert got <= ANSWER_ONLY_JOBS + SLACK, got
+
+
 def test_ruled_right_join_job_budget(spark, ssb_small):
     _, dirty, _ = ssb_small
     sup, _ = inject_fd_errors(
@@ -190,6 +234,20 @@ def test_execute_dc_job_budget(spark):
     }
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= DC_JOBS[k] + SLACK for k in DC_JOBS), got
+
+
+def test_dc_done_job_budget(spark):
+    sess = DaisySession(
+        spark, {"t": _dc_table(spark)}, {"t": [PRICE_DC]},
+        use_cost_model=False, dc_partitions=16,
+    )
+    # a filter off the bucketing attribute keeps every bucket in scope
+    q = Query("t", [Filter("discount", ">=", 0.0)])
+    sess.execute(q).count()
+    assert sess.records[0].repaired > 0
+    got = _execute_jobs(spark, sess, q, "job-budget-dc-done")
+    assert sess.records[1].repaired == 0
+    assert got <= DC_DONE_JOBS + SLACK, got
 
 
 def test_theta_join_build_job_budget(spark):

@@ -137,6 +137,34 @@ class TestProbEquijoin:
         assert prob.prob_equijoin(l, r, "k", "k").count() == 1
 
 
+    def test_two_shared_values_join_once(self, spark):
+        l = prob.ensure_cands(prob.spark_with_tid(spark, pd.DataFrame({"k": [1]})), ["k"])
+        l = _with_cands(l, 0, "k", [(1, 0.4, 1), (5, 0.3, 2), (2, 0.3, 2)])
+        r = prob.ensure_cands(prob.spark_with_tid(spark, pd.DataFrame({"k": [5]})), ["k"])
+        r = _with_cands(r, 0, "k", [(5, 0.5, 1), (2, 0.25, 2), (7, 0.25, 2)])
+        out = prob.prob_equijoin(l, r, "k", "k").collect()
+        assert [(o[f"l_{TID}"], o[f"r_{TID}"]) for o in out] == [(0, 0)]
+        assert "__jv" not in out[0].asDict()
+
+    def test_keys_of_different_widths_join(self, spark):
+        l = prob.spark_with_tid(spark, pd.DataFrame({"k": [1, 2]}))
+        l = prob.ensure_cands(l.withColumn("k", F.col("k").cast("int")), ["k"])
+        l = _with_cands(l, 0, "k", [(1, 0.5, 1), (3, 0.5, 2)])
+        r = prob.ensure_cands(prob.spark_with_tid(spark, pd.DataFrame({"k": [3, 2**40]})), ["k"])
+        r = _with_cands(r, 0, "k", [(3, 0.5, 1), (1, 0.5, 2)])
+        out = prob.prob_equijoin(l, r, "k", "k")
+        assert sorted((o[f"l_{TID}"], o[f"r_{TID}"]) for o in out.collect()) == [(0, 0)]
+
+    def test_null_join_value_matches_nothing(self, spark):
+        l = prob.spark_with_tid(spark, pd.DataFrame({"k": [None, 1.0]}))
+        r = prob.spark_with_tid(spark, pd.DataFrame({"k": [None, 2.0]}))
+        assert prob.prob_equijoin(l, r, "k", "k").count() == 0
+        r = prob.ensure_cands(r, ["k"])
+        r = _with_cands(r, 1, "k", [(2.0, 0.5, 1), (1.0, 0.5, 2)])
+        out = prob.prob_equijoin(l, r, "k", "k").collect()
+        assert [(o[f"l_{TID}"], o[f"r_{TID}"]) for o in out] == [(1, 1)]
+
+
 class TestCanonical:
     def test_cands_canonical_sorted(self, simple):
         d = _with_cands(simple, 1, "k", [(9, 0.25, 2), (2, 0.75, 1)])
