@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 
-from pyspark.sql import Column, DataFrame, Observation, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import detect, operators, repair, update
@@ -34,6 +34,7 @@ from repro.core.cost import CostModel, QueryCost
 from repro.core.planner import Filter, PlanOp, Query, build_plan
 from repro.core.prob import TID, base_attrs, checked_col, ensure_cands, ensure_checked
 from repro.core.repair_dc import FIX_COLS, REPAIRED, dc_fixes
+from repro.core.sqltext import ident
 from repro.core.thetajoin import ThetaJoinCleaner
 
 
@@ -44,7 +45,11 @@ class QueryRecord:
     ``answer``, ``extras`` and ``repaired`` add up the query's inputs.  An
     input's answer is counted only where the count is used, by ``clean_σ``'s
     region aggregate or by the Alg. 2 gate when its accuracy depends on it;
-    an input nothing cleans adds 0 to ``answer``.
+    an input nothing cleans adds 0 to ``answer``.  ``dc_buckets`` is the
+    number of matrix row buckets a DC op keeps in scope
+    (:meth:`repro.core.thetajoin.ThetaJoinCleaner.buckets_for`), every
+    bucket when its filters fall back to the whole matrix; like
+    ``dc_mode``, the query's last DC op sets it.
     """
 
     seconds: float
@@ -55,6 +60,7 @@ class QueryRecord:
     strategy: str = "incremental"
     dc_accuracy: float | None = None
     dc_mode: str | None = None
+    dc_buckets: int | None = None
 
 
 class DaisySession:
@@ -127,7 +133,7 @@ class DaisySession:
                 self.theta[(table, r.name)] = ThetaJoinCleaner(
                     df, r, partitions=self._dc_partitions
                 )
-        self.tables[table], row = update.checkpoint(df, F.count("*").alias("n"))
+        self.tables[table], row = update.checkpoint(df, F.expr("count(*) AS n"))
         fds = [fd for fd, _w in self.fd_rules[table]]
         tables = repair.build_tables(self.tables[table], fds, self.rule_tables[table])
         # cost model over the union of FD rules of this table: ε and p come
@@ -285,9 +291,10 @@ class DaisySession:
         """
         theta = self.theta[(table, dc.name)]
         buckets = theta.buckets_for(filters)
+        rec.dc_buckets = len(buckets)
         if answer is None and theta.errors_outside(buckets):
             qa = operators.apply_filters(self.tables[table], filters)
-            answer = qa.coalesce(1).agg(F.count("*")).first()[0]
+            answer = qa.coalesce(1).selectExpr("count(*)").first()[0]
         acc, _support = theta.accuracy(buckets, max(1, answer or 0))
         rec.dc_accuracy = acc
         scanned = theta.pairs_scanned
@@ -301,14 +308,14 @@ class DaisySession:
             # no matrix pair scanned, so no violation found; the lazy empty
             # fixes keep a ``dc_repairs`` entry for every DC-queried table
             if table not in self.dc_repairs:
-                self.dc_repairs[table] = dc_fixes(viol, dc).select(*FIX_COLS)
+                self.dc_repairs[table] = dc_fixes(viol, dc).selectExpr(*FIX_COLS)
             return answer
         key = (table, dc.name)
         obs = Observation()
         state = dc_fixes(viol, dc, self._dc_state.get(key), obs)
         self._dc_state[key] = state.localCheckpoint(eager=True)
         self.dc_repairs[table] = reduce(DataFrame.unionByName, [
-            s.select(*FIX_COLS) for (t, _d), s in self._dc_state.items() if t == table
+            s.selectExpr(*FIX_COLS) for (t, _d), s in self._dc_state.items() if t == table
         ])
         rec.repaired += obs.get[REPAIRED]
         return answer
@@ -327,7 +334,7 @@ class DaisySession:
         df = self.tables[table]
         rules = self.fd_rules[table]
         if rules:
-            todo = reduce(Column.__or__, [~F.col(checked_col(fd.name)) for fd, _w in rules])
+            todo = " OR ".join(f"NOT {ident(checked_col(fd.name))}" for fd, _w in rules)
             fixes = repair.repair_all(df.where(todo), rules, self.rule_tables[table])
             self.tables[table] = update.apply_repairs(df, fixes)
         self._mark_cleaned(table)

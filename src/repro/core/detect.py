@@ -21,6 +21,7 @@ from pyspark.sql import functions as F
 
 from repro.core.constraints import FD
 from repro.core.prob import checked_col
+from repro.core.sqltext import ident
 
 
 #: column of :func:`group_stats`: the group's rhs value counts,
@@ -37,24 +38,31 @@ def group_stats(dataset: DataFrame, fd: FD) -> DataFrame:
     repair reads ``P(rhs | lhs)``.  One pass over the data: a group-by on
     the (lhs, rhs) value pairs, then one on the lhs.
     """
-    pairs = dataset.groupBy(*fd.lhs, fd.rhs).agg(F.count("*").alias("__c"))
+    rhs = ident(fd.rhs)
+    pairs = dataset.groupBy(*fd.lhs, fd.rhs).agg(F.expr("count(*) AS __c"))
     return pairs.groupBy(*fd.lhs).agg(
-        F.sum("__c").alias("group_size"),
-        F.count(fd.rhs).alias("n_rhs"),
-        F.collect_list(F.struct(F.col(fd.rhs).alias("v"), F.col("__c").alias("c"))).alias(
-            RHS_COUNTS
-        ),
+        F.expr("sum(__c) AS group_size"),
+        F.expr(f"count({rhs}) AS n_rhs"),
+        F.expr(f"collect_list(named_struct('v', {rhs}, 'c', __c)) AS {RHS_COUNTS}"),
     )
 
 
 def dirty_group_summary(stats: DataFrame) -> tuple[int, int, float]:
-    """(#violating groups ε, #tuples in violating groups, avg candidates p)."""
+    """(#violating groups ε, #tuples in violating groups, avg candidates p).
+
+    ``stats`` is a :func:`group_stats` frame; its lhs columns are the ones
+    before ``group_size``.  A group with a null lhs component is left out:
+    detection and repair match groups with an equi-join on the lhs
+    (:func:`complete_groups`, :mod:`repro.core.repair`), where a null
+    matches nothing, so such a group is never repaired.
+    """
+    lhs = stats.columns[: stats.columns.index("group_size")]
     row = (
-        stats.where(F.col("n_rhs") > 1)
-        .agg(
-            F.count("*").alias("g"),
-            F.coalesce(F.sum("group_size"), F.lit(0)).alias("t"),
-            F.coalesce(F.avg("n_rhs"), F.lit(0.0)).alias("p"),
+        stats.where(" AND ".join(["n_rhs > 1", *(f"{ident(a)} IS NOT NULL" for a in lhs)]))
+        .selectExpr(
+            "count(*) AS g",
+            "coalesce(sum(group_size), 0) AS t",
+            "coalesce(avg(n_rhs), 0.0D) AS p",
         )
         .first()
     )
@@ -83,24 +91,23 @@ def complete_groups(region: DataFrame, fd: FD, stats: DataFrame) -> DataFrame:
     broadcast (one row per distinct lhs value).
     """
     cc = checked_col(fd.name)
-    unchecked = ~F.col(cc) if cc in region.columns else F.lit(True)
+    unchecked = f"NOT {ident(cc)}" if cc in region.columns else "true"
     present = region.groupBy(*fd.lhs).agg(
-        F.count("*").alias("__present"), F.count_if(unchecked).alias("__unchecked")
+        F.expr("count(*) AS __present"), F.expr(f"count_if({unchecked}) AS __unchecked")
     )
     return (
         present.join(F.broadcast(stats), list(fd.lhs))
-        .where(F.col("__present") == F.col("group_size"))
-        .select(
-            *fd.lhs,
-            ((F.col("__unchecked") == F.col("group_size")) & (F.col("n_rhs") > 1))
-            .alias(VIOLATING),
+        .where("__present = group_size")
+        .selectExpr(
+            *map(ident, fd.lhs),
+            f"__unchecked = group_size AND n_rhs > 1 AS {VIOLATING}",
         )
     )
 
 
 def violating_complete_groups(region: DataFrame, fd: FD, stats: DataFrame) -> DataFrame:
     """The lhs keys of the groups :func:`complete_groups` flags to repair now."""
-    return complete_groups(region, fd, stats).where(F.col(VIOLATING)).select(*fd.lhs)
+    return complete_groups(region, fd, stats).where(VIOLATING).selectExpr(*map(ident, fd.lhs))
 
 
 def members_of(region: DataFrame, fd: FD, groups: DataFrame) -> DataFrame:
@@ -110,4 +117,4 @@ def members_of(region: DataFrame, fd: FD, groups: DataFrame) -> DataFrame:
 
 def violating_groups(stats: DataFrame, fd: FD) -> DataFrame:
     """The lhs keys of the violating groups of ``fd`` (``n_rhs > 1``)."""
-    return stats.where(F.col("n_rhs") > 1).select(*fd.lhs)
+    return stats.where("n_rhs > 1").selectExpr(*map(ident, fd.lhs))

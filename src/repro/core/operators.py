@@ -23,6 +23,7 @@ from repro.core import detect, relax, repair, update
 from repro.core.constraints import FD
 from repro.core.planner import Aggregate, Filter, Query, filter_side
 from repro.core.prob import CAND_SUFFIX, TID, cands_col, checked_col, prob_equijoin, qualifies
+from repro.core.sqltext import ident
 
 
 @dataclass
@@ -118,11 +119,11 @@ def clean_sigma(
             relaxed = relax.whole_groups(dataset, relaxed, fds)
     region = dataset.where(relaxed).withColumn(IN_ANSWER, in_answer)
 
-    unchecked = reduce(Column.__or__, [~F.col(checked_col(fd.name)) for fd in fds])
+    unchecked = " OR ".join(f"NOT {ident(checked_col(fd.name))}" for fd in fds)
     # one task over a filter of the checkpointed dataset: no shuffle stage
-    row = region.coalesce(1).agg(
-        F.count("*").alias("region"), F.count_if(IN_ANSWER).alias(IN_ANSWER),
-        F.count_if(unchecked).alias("unchecked"),
+    row = region.coalesce(1).selectExpr(
+        "count(*) AS region", f"count_if({IN_ANSWER}) AS {IN_ANSWER}",
+        f"count_if({unchecked}) AS unchecked",
     ).first()
     st.answer, st.extras = row[IN_ANSWER], row["region"] - row[IN_ANSWER]
     if row["unchecked"] == 0:
@@ -130,20 +131,20 @@ def clean_sigma(
 
     flags = [DIRTY, CHANGED, *[dirty_col(fd.name) for fd in fds]]
     flagged, row = update.checkpoint(
-        _detect(region, fds, tables.stats), *[F.count_if(c).alias(c) for c in flags]
+        _detect(region, fds, tables.stats), *[F.expr(f"count_if({ident(c)}) AS {ident(c)}") for c in flags]
     )
     st.repaired = row[DIRTY]
     st.violating = {fd.name: row[dirty_col(fd.name)] for fd in fds}
     if row[CHANGED] == 0:
         return dataset, st
 
-    keep = [TID, *[checked_col(fd.name) for fd in fds]]
-    delta = flagged.where(F.col(CHANGED) & ~F.col(DIRTY)).select(*keep)
+    keep = [TID, *[ident(checked_col(fd.name)) for fd in fds]]
+    delta = flagged.where(f"{CHANGED} AND NOT {DIRTY}").selectExpr(*keep)
     if st.repaired:
         # the dirty rows are changed rows too; they also carry their cells
-        fixed = repair.compute_repairs(flagged.where(F.col(DIRTY)), all_rules, tables)
-        cells = [c for c in fixed.columns if c.endswith(CAND_SUFFIX)]
-        delta = fixed.select(*keep, *cells).unionByName(delta, allowMissingColumns=True)
+        fixed = repair.compute_repairs(flagged.where(DIRTY), all_rules, tables)
+        cells = [ident(c) for c in fixed.columns if c.endswith(CAND_SUFFIX)]
+        delta = fixed.selectExpr(*keep, *cells).unionByName(delta, allowMissingColumns=True)
     return update.apply_repairs(dataset, delta), st
 
 
@@ -158,19 +159,25 @@ def _detect(region: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame
     """
     groups = [detect.complete_groups(region, fd, stats_by_rule[fd.name]) for fd in fds]
     out = region.withColumns({DIRTY: F.lit(False), CHANGED: F.lit(False)})
+    cols = out.columns
     for fd, g in zip(fds, groups):
-        cc = checked_col(fd.name)
-        hit = F.col("__hit").isNotNull()
-        violating = F.coalesce(F.col(detect.VIOLATING), F.lit(False))
-        out = (
-            out.join(F.broadcast(g.withColumn("__hit", F.lit(True))), list(fd.lhs), "left")
-            .withColumns({
-                DIRTY: F.col(DIRTY) | violating,
-                dirty_col(fd.name): violating,
-                CHANGED: F.col(CHANGED) | (hit & ~F.col(cc)),
-                cc: F.col(cc) | hit,
-            })
-            .drop(detect.VIOLATING, "__hit")
+        cc = ident(checked_col(fd.name))
+        violating = f"coalesce({detect.VIOLATING}, false)"
+        flags = {
+            DIRTY: f"{DIRTY} OR {violating}",
+            dirty_col(fd.name): violating,
+            CHANGED: f"{CHANGED} OR (__hit IS NOT NULL AND NOT {cc})",
+            checked_col(fd.name): f"{cc} OR __hit IS NOT NULL",
+        }
+        joined = out.join(F.broadcast(g.selectExpr("*", "true AS __hit")), list(fd.lhs), "left")
+        # the join puts the lhs first; one projection sets the flags in
+        # their columns' places, appends the new rule's flag, and drops the
+        # group's columns
+        cols = [*fd.lhs, *[c for c in cols if c not in fd.lhs]]
+        if dirty_col(fd.name) not in cols:
+            cols.append(dirty_col(fd.name))
+        out = joined.selectExpr(
+            *[f"{flags[c]} AS {ident(c)}" if c in flags else ident(c) for c in cols]
         )
     return out
 

@@ -26,6 +26,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.constraints import OPS
+from repro.core.sqltext import ident
 
 TID = "__tid"
 CAND_SUFFIX = "__cands"
@@ -106,24 +107,42 @@ def pred_column(value_col: Column, op: str, value, value2=None) -> Column:
 
 
 def qualifies(df: DataFrame, attr: str, op: str, value, value2=None) -> Column:
-    """§4 tuple-qualification: clean value passes, or ∃ candidate that passes."""
+    """§4 tuple-qualification: clean value passes, or ∃ candidate that passes.
+
+    An attribute with candidate cells is one ``exists`` of the predicate
+    over the cell's values: the clean value, or the candidates' values.
+    The array is SQL text; the predicate is built once, and the filter's
+    values stay literals (DESIGN §3, on round trips to the JVM).
+    """
     pred: Callable[[Column], Column] = lambda c: pred_column(c, op, value, value2)
-    cc = cands_col(attr)
-    if cc not in df.columns:
+    if cands_col(attr) not in df.columns:
         return pred(F.col(attr))
-    return F.when(F.col(cc).isNull(), pred(F.col(attr))).otherwise(
-        F.exists(F.col(cc), lambda x: pred(x["v"]))
-    )
+    return F.exists(F.expr(values_sql(attr, True, distinct=False)), pred)
+
+
+def values_sql(attr: str, has_cands: bool, *, distinct: bool = True) -> str:
+    """SQL text of the array of ``attr``'s possible values in a row.
+
+    ``has_cands``: whether the frame has ``attr``'s candidate column.  The
+    array is the clean value when the cell has no candidates, else the
+    candidates' values (``distinct``: each once).
+    """
+    clean = f"array({ident(attr)})"
+    if not has_cands:
+        return clean
+    cc = ident(cands_col(attr))
+    values = f"transform({cc}, __c -> __c.v)"
+    if distinct:
+        values = f"array_distinct({values})"
+    return f"CASE WHEN {cc} IS NULL THEN {clean} ELSE {values} END"
 
 
 def possible_values(df: DataFrame, attr: str) -> Column:
-    """Array of all candidate values of the cell (or the single clean value)."""
-    cc = cands_col(attr)
-    if cc not in df.columns:
-        return F.array(F.col(attr))
-    return F.when(F.col(cc).isNull(), F.array(F.col(attr))).otherwise(
-        F.array_distinct(F.transform(F.col(cc), lambda x: x["v"]))
-    )
+    """Array of all candidate values of the cell (or the single clean value).
+
+    One ``F.expr`` of :func:`values_sql`.
+    """
+    return F.expr(values_sql(attr, cands_col(attr) in df.columns))
 
 
 def prob_equijoin(left: DataFrame, right: DataFrame, left_on: str, right_on: str) -> DataFrame:
@@ -133,22 +152,21 @@ def prob_equijoin(left: DataFrame, right: DataFrame, left_on: str, right_on: str
     (§4: the originating tuple IDs) are ``l_{TID}`` / ``r_{TID}``.
 
     One join of the renamed sides, each exploded to one row per possible
-    join value.  A pair whose candidate sets share several values joins
-    once per shared value and keeps the row of the smallest one; both
-    candidate sets are rebuilt from the output's own columns.  That is a
-    row filter, so the pairs need no de-duplicating shuffle.  A null value
-    matches nothing.
+    join value (one ``selectExpr`` per side renames and explodes).  A pair
+    whose candidate sets share several values joins once per shared value
+    and keeps the row of the smallest one; both candidate sets are rebuilt
+    from the output's own columns.  That is a row filter, so the pairs need
+    no de-duplicating shuffle.  A null value matches nothing.
     """
-    sides = []
+    sides, values = [], []
     for df, on, prefix in ((left, left_on, "l"), (right, right_on, "r")):
-        cols = [F.col(c).alias(f"{prefix}_{c}") for c in df.columns]
-        sides.append(df.select(*cols, F.explode(possible_values(df, on)).alias("__jv")))
+        has_cands = cands_col(on) in df.columns
+        renamed = [f"{ident(c)} AS {ident(f'{prefix}_{c}')}" for c in df.columns]
+        sides.append(df.selectExpr(*renamed, f"explode({values_sql(on, has_cands)}) AS __jv"))
+        values.append(values_sql(f"{prefix}_{on}", has_cands))
     joined = sides[0].join(sides[1], "__jv")
     # numeric sides of different widths meet in the wider type, as in the join
-    shared = F.array_intersect(
-        possible_values(joined, f"l_{left_on}"), possible_values(joined, f"r_{right_on}")
-    )
-    return joined.where(F.col("__jv") == F.array_min(shared)).drop("__jv")
+    return joined.where(f"__jv = array_min(array_intersect({', '.join(values)}))").drop("__jv")
 
 
 def cands_canonical(df: DataFrame, attr: str) -> pd.DataFrame:

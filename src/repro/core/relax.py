@@ -41,24 +41,25 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.constraints import FD
-from repro.core.prob import possible_values
+from repro.core.prob import cands_col, values_sql
+from repro.core.sqltext import ident
 
 #: iteration budgets per filtered side (Lemmas 1 and 2)
 LEMMA_ITERS = {"rhs": 1, "lhs": 2, None: 2}
 
 
-def _keys(df: DataFrame, attrs: tuple[str, ...]) -> Column:
-    """Array of the non-null values a row of ``df`` matches on for ``attrs``.
+def _keys(df: DataFrame, attrs: tuple[str, ...]) -> str:
+    """SQL text: the array of non-null values a row of ``df`` matches on for ``attrs``.
 
     A single attribute gives its possible (candidate) values; a composite
     lhs gives its base-value tuple, or nothing when a component is null.
     """
     if len(attrs) == 1:
-        return F.filter(possible_values(df, attrs[0]), lambda v: v.isNotNull())
-    return F.filter(
-        F.array(F.struct(*attrs)),
-        lambda s: reduce(Column.__and__, [s[a].isNotNull() for a in attrs]),
-    )
+        values = values_sql(attrs[0], cands_col(attrs[0]) in df.columns)
+        return f"filter({values}, __k -> __k IS NOT NULL)"
+    fields = ", ".join(map(ident, attrs))
+    present = " AND ".join(f"__k.{ident(a)} IS NOT NULL" for a in attrs)
+    return f"filter(array(struct({fields})), __k -> {present})"
 
 
 def _collect(region: DataFrame, keyed: list[tuple[str, ...]]) -> tuple[int, list[str]]:
@@ -70,9 +71,9 @@ def _collect(region: DataFrame, keyed: list[tuple[str, ...]]) -> tuple[int, list
     reads back exactly the number and string values rules match on here.
     """
     keys = [_keys(region, attrs) for attrs in keyed]
-    row = region.coalesce(1).agg(
-        F.count_if(reduce(Column.__add__, [F.size(k) for k in keys]) > 0).alias("n"),
-        *[F.to_json(F.array_distinct(F.flatten(F.collect_set(k)))).alias(f"s{i}")
+    row = region.coalesce(1).selectExpr(
+        f"count_if({' + '.join(f'size({k})' for k in keys)} > 0) AS n",
+        *[f"to_json(array_distinct(flatten(collect_set({k})))) AS s{i}"
           for i, k in enumerate(keys)],
     ).first()
     return row["n"], [row[f"s{i}"] for i in range(len(keys))]
@@ -89,7 +90,7 @@ def _match(dataset: DataFrame, keyed: list[tuple[str, ...]], sets: list[str]) ->
         fields = [dataset.schema[a] for a in attrs]
         elem = fields[0].dataType if len(fields) == 1 else T.StructType(fields)
         values = F.from_json(F.lit(text), T.ArrayType(elem))
-        preds.append(F.arrays_overlap(_keys(dataset, attrs), values))
+        preds.append(F.arrays_overlap(F.expr(_keys(dataset, attrs)), values))
     return reduce(Column.__or__, preds)
 
 

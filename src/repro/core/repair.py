@@ -38,16 +38,16 @@ offline approach".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import detect
 from repro.core.constraints import FD
 from repro.core.detect import RHS_COUNTS
 from repro.core.prob import CAND_SUFFIX, TID, cand_type, cands_col, checked_col
+from repro.core.sqltext import ident, num
 
 #: world id of the rhs-varies (lhs kept) world, shared/merged across rules
 RHS_WORLD = 1
@@ -107,7 +107,7 @@ def lhs_per_rhs(tables: RuleTables, fd: FD) -> float:
     co-occurs with many lhs values and p explodes (Figs 6-7 discussion).
     Read from the world-2 table, which has a row for every rhs value.
     """
-    row = tables.world2[fd.name].agg(F.avg(N_LHS)).first()
+    row = tables.world2[fd.name].selectExpr(f"avg({N_LHS})").first()
     return float(row[0] or 0.0)
 
 
@@ -118,19 +118,16 @@ def _by_rhs(stats: DataFrame, fd: FD) -> DataFrame:
     value gets a row (its ``N_LHS`` feeds the cost model); repair looks up
     the rows ``IN_VIOLATING``.  Only a single-lhs rule has ``LHS_COUNTS``.
     """
-    e = F.col("__e")
-    pairs = stats.select(*fd.lhs, "n_rhs", F.explode(RHS_COUNTS).alias("__e"))
+    pairs = stats.selectExpr(*map(ident, fd.lhs), "n_rhs", f"explode({RHS_COUNTS}) AS __e")
+    present = " AND ".join(f"{ident(a)} IS NOT NULL" for a in fd.lhs)
     aggs = [
-        F.count_if(reduce(Column.__and__, [F.col(a).isNotNull() for a in fd.lhs])).alias(N_LHS),
-        F.bool_or(F.col("n_rhs") > 1).alias(IN_VIOLATING),
+        F.expr(f"count_if({present}) AS {N_LHS}"),
+        F.expr(f"bool_or(n_rhs > 1) AS {IN_VIOLATING}"),
     ]
     if fd.single_lhs:
-        aggs.append(
-            F.collect_list(F.struct(F.col(fd.lhs[0]).alias("v"), e["c"].alias("c"))).alias(
-                LHS_COUNTS
-            )
-        )
-    return pairs.groupBy(e["v"].alias(fd.rhs)).agg(*aggs)
+        entry = f"named_struct('v', {ident(fd.lhs[0])}, 'c', __e.c)"
+        aggs.append(F.expr(f"collect_list({entry}) AS {LHS_COUNTS}"))
+    return pairs.groupBy(F.expr(f"__e.v AS {ident(fd.rhs)}")).agg(*aggs)
 
 
 def _joint(dataset: DataFrame, fds: list[FD], tables: RuleTables) -> DataFrame:
@@ -174,35 +171,38 @@ def compute_repairs(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTa
     ``<attr>__cands`` replaced for every attribute of a rule's cells; a
     null cell means "this repair does not touch that cell" (the update
     keeps the old one).  Every table is broadcast onto the rows (one row
-    per value or violating group); nothing is shuffled.
+    per value or violating group); nothing is shuffled.  The flags, the
+    merges and the cells are SQL text over the looked-up columns, so the
+    plan costs a few Python-to-JVM calls per rule (DESIGN §3, on round
+    trips to the JVM).
     """
     fds = [fd for fd, _w in rules]
     world = {fd.name: w for fd, w in rules}
     out = rows
-    dirty: dict[str, Column] = {}
-    counts: dict[frozenset[str], Column] = {}
-    lhs_counts: dict[str, Column] = {}
+    dirty: dict[str, str] = {}
+    counts: dict[frozenset[str], str] = {}
+    lhs_counts: dict[str, str] = {}
     for i, fd in enumerate(fds):
-        a, b = f"__rp_a{i}", f"__rp_b{i}"
-        world1 = tables.stats[fd.name].where(F.col("n_rhs") > 1).select(
-            *fd.lhs, F.col(RHS_COUNTS).alias(a)
+        a, b, d = f"__rp_a{i}", f"__rp_b{i}", f"__rp_d{i}"
+        world1 = tables.stats[fd.name].where("n_rhs > 1").selectExpr(
+            *map(ident, fd.lhs), f"{RHS_COUNTS} AS {a}"
         )
         out = out.join(F.broadcast(world1), list(fd.lhs), "left")
-        out = out.withColumn(f"__rp_d{i}", F.col(checked_col(fd.name)) & F.col(a).isNotNull())
-        dirty[fd.name] = F.col(f"__rp_d{i}")
-        counts[frozenset([fd.name])] = F.col(a)
+        out = out.selectExpr("*", f"{ident(checked_col(fd.name))} AND {a} IS NOT NULL AS {d}")
+        dirty[fd.name] = d
+        counts[frozenset([fd.name])] = a
         if fd.single_lhs:
             world2 = tables.world2[fd.name]
-            lookup = world2.where(F.col(IN_VIOLATING)).select(fd.rhs, F.col(LHS_COUNTS).alias(b))
+            lookup = world2.where(IN_VIOLATING).selectExpr(ident(fd.rhs), f"{LHS_COUNTS} AS {b}")
             out = out.join(F.broadcast(lookup), fd.rhs, "left")
-            lhs_counts[fd.name] = F.coalesce(F.col(b), _empty(world2, LHS_COUNTS))
+            lhs_counts[fd.name] = f"coalesce({b}, {_empty(world2, LHS_COUNTS)})"
     joints = [(k, t) for k, t in tables.joint.items() if k <= set(dirty)]
     for j, (key, joint) in enumerate(joints):
         keys = [c for c in joint.columns if c != RHS_COUNTS]
         out = out.join(F.broadcast(joint.withColumnRenamed(RHS_COUNTS, f"__rp_j{j}")), keys, "left")
-        counts[key] = F.col(f"__rp_j{j}")
+        counts[key] = f"__rp_j{j}"
 
-    pieces: dict[str, list[tuple[Column, Column]]] = {}  # attr -> (touches, entries)
+    pieces: dict[str, list[tuple[str, str]]] = {}  # attr -> (touches, entries)
     for x, group in _by_rhs_attr(fds).items():
         names = [fd.name for fd in group]
         if len(names) == 1:
@@ -214,28 +214,26 @@ def compute_repairs(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTa
             for subset in _subsets(names):
                 arr = counts[frozenset(subset)]
                 if len(subset) % 2 == 0:
-                    arr = F.transform(
-                        arr, lambda e: F.struct(e["v"].alias("v"), (-e["c"]).alias("c"))
-                    )
-                terms.append(F.when(_all([dirty[n] for n in subset]), arr).otherwise(empty))
-            merged = _sum_by_value(F.concat(*terms))
+                    arr = f"transform({arr}, __e -> named_struct('v', __e.v, 'c', -__e.c))"
+                terms.append(f"CASE WHEN {_all([dirty[n] for n in subset])} THEN {arr} ELSE {empty} END")
+            merged = _sum_by_value(f"concat({', '.join(terms)})")
         pieces.setdefault(x, []).append(
             (_any([dirty[n] for n in names]), _distribution(merged, RHS_WORLD))
         )
         for n in names:
-            keep = F.struct(F.col(x).alias("v"), F.lit(1.0).alias("p"), F.lit(world[n]).alias("w"))
-            pieces[x].append((dirty[n], F.array(keep)))
+            pieces[x].append((dirty[n], _keep(x, world[n])))
     for la, group in _by_lhs_attr(fds).items():
-        keep = F.struct(F.col(la).alias("v"), F.lit(1.0).alias("p"), F.lit(RHS_WORLD).alias("w"))
-        pieces.setdefault(la, []).append((_any([dirty[fd.name] for fd in group]), F.array(keep)))
+        pieces.setdefault(la, []).append(
+            (_any([dirty[fd.name] for fd in group]), _keep(la, RHS_WORLD))
+        )
         for fd in group:
             pieces[la].append(
                 (dirty[fd.name], _distribution(lhs_counts[fd.name], world[fd.name]))
             )
 
     cells = {cands_col(a): _cell(rows, a, ps) for a, ps in pieces.items()}
-    kept = [cells.pop(c) if c in cells else F.col(c) for c in rows.columns]
-    return out.where(_any(list(dirty.values()))).select(*kept, *cells.values())
+    kept = [cells.pop(c) if c in cells else ident(c) for c in rows.columns]
+    return out.where(_any(list(dirty.values()))).selectExpr(*kept, *cells.values())
 
 
 def repair_all(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTables) -> DataFrame:
@@ -248,7 +246,7 @@ def repair_all(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTables)
     """
     checked = {checked_col(fd.name): F.lit(True) for fd, _w in rules}
     fixed = compute_repairs(rows.withColumns(checked), rules, tables)
-    return fixed.select(TID, *[c for c in fixed.columns if c.endswith(CAND_SUFFIX)])
+    return fixed.selectExpr(TID, *[ident(c) for c in fixed.columns if c.endswith(CAND_SUFFIX)])
 
 
 def _by_lhs_attr(fds: list[FD]) -> dict[str, list[FD]]:
@@ -260,56 +258,51 @@ def _by_lhs_attr(fds: list[FD]) -> dict[str, list[FD]]:
     return out
 
 
-def _any(conds: list[Column]) -> Column:
-    return reduce(Column.__or__, conds)
+def _any(conds: list[str]) -> str:
+    return "(" + " OR ".join(conds) + ")"
 
 
-def _all(conds: list[Column]) -> Column:
-    return reduce(Column.__and__, conds)
+def _all(conds: list[str]) -> str:
+    return "(" + " AND ".join(conds) + ")"
 
 
-def _empty(table: DataFrame, col: str) -> Column:
-    """An empty array of the type of ``table[col]``."""
-    return F.array().cast(table.schema[col].dataType)
+def _empty(table: DataFrame, col: str) -> str:
+    """SQL text: an empty array of the type of ``table[col]``."""
+    return f"CAST(array() AS {table.schema[col].dataType.simpleString()})"
 
 
-def _sum_by_value(entries: Column) -> Column:
-    """``(v, c)`` entries with the counts of equal values summed."""
-    vals = F.array_distinct(F.transform(entries, lambda e: e["v"]))
-    return F.transform(
-        vals,
-        lambda v: F.struct(
-            v.alias("v"),
-            F.aggregate(
-                F.filter(entries, lambda e: e["v"].eqNullSafe(v)),
-                F.lit(0).cast("long"),
-                lambda acc, e: acc + e["c"],
-            ).alias("c"),
-        ),
+def _keep(attr: str, world: int) -> str:
+    """SQL text: the one-entry array keeping ``attr``'s value in ``world``."""
+    return f"array(named_struct('v', {ident(attr)}, 'p', {num(1.0)}, 'w', {world}))"
+
+
+def _sum_by_value(entries: str) -> str:
+    """SQL text: ``(v, c)`` entries with the counts of equal values summed."""
+    total = f"aggregate(filter({entries}, __e -> __e.v <=> __u), 0L, (__acc, __e) -> __acc + __e.c)"
+    return (
+        f"transform(array_distinct(transform({entries}, __e -> __e.v)), "
+        f"__u -> named_struct('v', __u, 'c', {total}))"
     )
 
 
-def _distribution(counts: Column, world: int) -> Column:
-    """Candidate entries ``(v, c / Σc, world)`` of a ``(v, c)`` count array.
+def _distribution(counts: str, world: int) -> str:
+    """SQL text: candidate entries ``(v, c / Σc, world)`` of a ``(v, c)`` count array.
 
     The total is the fold's result, bound once per row.
     """
-    return F.aggregate(
-        counts,
-        F.lit(0).cast("long"),
-        lambda acc, e: acc + e["c"],
-        lambda total: F.transform(
-            counts,
-            lambda e: F.struct(
-                e["v"].alias("v"), (e["c"] / total).alias("p"), F.lit(world).alias("w")
-            ),
-        ),
+    entry = f"named_struct('v', __e.v, 'p', __e.c / __total, 'w', {world})"
+    return (
+        f"aggregate({counts}, 0L, (__acc, __e) -> __acc + __e.c, "
+        f"__total -> transform({counts}, __e -> {entry}))"
     )
 
 
-def _cell(rows: DataFrame, attr: str, pieces: list[tuple[Column, Column]]) -> Column:
-    """Concatenate the pieces that touch the cell; null when none does."""
-    typ = cand_type(rows, attr)
-    empty = F.array().cast(typ)
-    arrays = [F.when(t, arr.cast(typ)).otherwise(empty) for t, arr in pieces]
-    return F.when(_any([t for t, _ in pieces]), F.concat(*arrays)).alias(cands_col(attr))
+def _cell(rows: DataFrame, attr: str, pieces: list[tuple[str, str]]) -> str:
+    """SQL text: concatenate the pieces that touch the cell; null when none does."""
+    typ = cand_type(rows, attr).simpleString()
+    arrays = [
+        f"CASE WHEN {t} THEN CAST({arr} AS {typ}) ELSE CAST(array() AS {typ}) END"
+        for t, arr in pieces
+    ]
+    touched = _any([t for t, _ in pieces])
+    return f"CASE WHEN {touched} THEN concat({', '.join(arrays)}) END AS {ident(cands_col(attr))}"

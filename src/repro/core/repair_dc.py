@@ -30,10 +30,11 @@ the new pairs touch in that same job.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Observation, Window
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core.constraints import DC
+from repro.core.sqltext import name_lit, num
 
 INF = float("inf")
 
@@ -51,15 +52,19 @@ _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _KEY = ("tid", "attr", "own", "lo", "hi")
 
 
-def _range_for(op_inverse: str, bound_col: str):
-    """Range of values satisfying ``value <op_inverse> bound``."""
+def _range_for(op_inverse: str, bound: str) -> tuple[str, str]:
+    """``(lo, hi)`` text of the values satisfying ``value <op_inverse> bound``."""
     if op_inverse in (">", ">="):
-        return F.col(bound_col).cast("double"), F.lit(INF)
-    return F.lit(-INF), F.col(bound_col).cast("double")
+        return f"CAST({bound} AS DOUBLE)", num(INF)
+    return num(-INF), f"CAST({bound} AS DOUBLE)"
 
 
 def _ranges(violations: DataFrame, dc: DC) -> DataFrame:
-    """One ``(tid, attr, own, lo, hi)`` row per pair, side and atom."""
+    """One ``(tid, attr, own, lo, hi)`` row per pair, side and atom.
+
+    Each row is one pair's range, so it has ``count`` 1 and is ``__new``.
+    The rows are one ``inline`` of four structs, written as SQL text.
+    """
     # For tuple t1: invert atom-x (x1 gets the range ¬opx w.r.t. x2) or
     # invert atom-y.  t2 sees each atom with its operands swapped, so its
     # fix is the mirrored inverse: e.g. t1.sal < t2.sal inverts to
@@ -75,14 +80,12 @@ def _ranges(violations: DataFrame, dc: DC) -> DataFrame:
     structs = []
     for tid_col, attr, own, partner, inv in per_side:
         lo, hi = _range_for(inv, partner)
-        structs.append(F.struct(
-            F.col(tid_col).alias("tid"),
-            F.lit(attr).alias("attr"),
-            F.col(own).cast("double").alias("own"),
-            lo.alias("lo"),
-            hi.alias("hi"),
-        ))
-    return violations.select(F.inline(F.array(*structs)))
+        structs.append(
+            f"named_struct('tid', {tid_col}, 'attr', {name_lit(attr)}, "
+            f"'own', CAST({own} AS DOUBLE), 'lo', {lo}, 'hi', {hi}, "
+            "'count', 1L, '__new', true)"
+        )
+    return violations.selectExpr(f"inline(array({', '.join(structs)}))")
 
 
 def dc_fixes(
@@ -100,41 +103,35 @@ def dc_fixes(
     the inverted-atom ranges with their pair counts and the keep-option,
     with frequency probabilities.  ``observation``, when given, gets
     ``REPAIRED``: the distinct tids of ``violations``.
+
+    Every expression is SQL text over fixed column names: the plan is built
+    in a few dozen Python-to-JVM calls (DESIGN §3, on round trips).
     """
-    rows = _ranges(violations, dc).withColumns(
-        {"count": F.lit(1).cast("long"), "__new": F.lit(True)}
-    )
+    rows = _ranges(violations, dc)
     if state is not None:
-        old = state.where(F.col("count") > 0).select(*_KEY, "count", F.lit(False).alias("__new"))
+        old = state.where("`count` > 0").selectExpr(*_KEY, "`count`", "false AS __new")
         rows = rows.unionByName(old)
     counts = rows.coalesce(1).groupBy(*_KEY).agg(
-        F.sum("count").alias("count"), F.max("__new").alias("__new")
+        F.expr("sum(`count`) AS `count`"), F.expr("max(__new) AS __new")
     )
     # frequency-based probabilities over the *tuple's* possible fixes
     # (Example 5: two possible fixes → 50% each); the cell's keep-option
     # carries the complement of its range-fix mass.  Both come from integer
     # counts, so the same pairs give the same probabilities in any order.
-    tup = Window.partitionBy("tid")
-    cell = Window.partitionBy("tid", "attr")
-    counts = counts.withColumns({
-        "__t": F.sum("count").over(tup),
-        "__s": F.sum("count").over(cell),
-        "__first": F.row_number().over(cell.orderBy("lo", "hi")) == 1,
-        "__new": F.max("__new").over(tup),
-        "__tfirst": F.col("attr") == F.min("attr").over(tup),
-    })
+    tup, cell = "PARTITION BY tid", "PARTITION BY tid, attr"
+    counts = counts.selectExpr(
+        *_KEY, "`count`",
+        f"sum(`count`) OVER ({tup}) AS __t",
+        f"sum(`count`) OVER ({cell}) AS __s",
+        f"row_number() OVER ({cell} ORDER BY lo, hi) = 1 AS __first",
+        f"max(__new) OVER ({tup}) AS __new",
+        f"attr = min(attr) OVER ({tup}) AS __tfirst",
+    )
     if observation is not None:
         # one row per new tid: its first cell's first range
-        first_of_new = F.col("__new") & F.col("__tfirst") & F.col("__first")
-        counts = counts.observe(observation, F.count_if(first_of_new).alias(REPAIRED))
-    rng = F.struct("lo", "hi", "count", (F.col("count") / F.col("__t")).alias("p"))
-    keep = F.struct(
-        F.col("own").alias("lo"),
-        F.col("own").alias("hi"),
-        F.lit(0).cast("long").alias("count"),
-        ((F.col("__t") - F.col("__s")) / F.col("__t")).alias("p"),
-    )
-    opts = F.when(
-        F.col("__first") & (F.col("__t") > F.col("__s")), F.array(rng, keep)
-    ).otherwise(F.array(rng))
-    return counts.select("tid", "attr", "own", F.inline(opts)).select(*STATE_COLS)
+        first_of_new = "__new AND __tfirst AND __first"
+        counts = counts.observe(observation, F.expr(f"count_if({first_of_new}) AS {REPAIRED}"))
+    rng = "named_struct('lo', lo, 'hi', hi, 'count', `count`, 'p', `count` / __t)"
+    keep = "named_struct('lo', own, 'hi', own, 'count', 0L, 'p', (__t - __s) / __t)"
+    opts = f"CASE WHEN __first AND __t > __s THEN array({rng}, {keep}) ELSE array({rng}) END"
+    return counts.selectExpr("tid", "attr", "own", f"inline({opts})")

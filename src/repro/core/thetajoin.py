@@ -35,6 +35,7 @@ from pyspark.sql import functions as F
 from repro.core.constraints import DC, OPS, Atom
 from repro.core.planner import Filter
 from repro.core.prob import TID
+from repro.core.sqltext import ident, num
 
 
 class ThetaJoinCleaner:
@@ -58,19 +59,18 @@ class ThetaJoinCleaner:
         # de-duplicate cut points (heavy hitters collapse quantiles)
         self.splits = sorted(set(dataset.approxQuantile(self.x, qs, 0.001)))
         self.nb = max(1, len(self.splits) - 1)
-        self.data = (
-            dataset.select(TID, self.x, self.y)
-            .withColumn("__bx", self._bucket_col(F.col(self.x)))
-            .localCheckpoint(eager=True)
-        )
+        self.data = dataset.selectExpr(
+            TID, ident(self.x), ident(self.y), f"{self._bucket_expr()} AS __bx"
+        ).localCheckpoint(eager=True)
         # per bucket, each attribute's (lo, hi); an empty bucket has no entry
         one_task = self.data.coalesce(1).groupBy("__bx")
+        attrs = (self.x, self.y)
         rows = one_task.agg(
-            *(F.min(a).alias(f"{a}_lo") for a in (self.x, self.y)),
-            *(F.max(a).alias(f"{a}_hi") for a in (self.x, self.y)),
+            *(F.expr(f"{fn}({ident(a)}) AS {end}{i}")
+              for i, a in enumerate(attrs) for fn, end in (("min", "lo"), ("max", "hi")))
         ).collect()
         self.bounds: dict[int, dict[str, tuple[float, float]]] = {
-            r["__bx"]: {a: (r[f"{a}_lo"], r[f"{a}_hi"]) for a in (self.x, self.y)}
+            r["__bx"]: {a: (r[f"lo{i}"], r[f"hi{i}"]) for i, a in enumerate(attrs)}
             for r in rows
         }
         self.estimate = self._estimate(one_task)
@@ -78,16 +78,19 @@ class ThetaJoinCleaner:
         self.pairs_scanned = 0
 
     # -- bucket helpers ----------------------------------------------------
-    def _bucket_col(self, col: F.Column):
-        """CASE-WHEN ladder assigning each value its quantile bucket index."""
-        b = None
-        for i in range(self.nb):
-            cond = col < F.lit(self.splits[i + 1]) if i < self.nb - 1 else F.lit(True)
-            b = F.when(cond, F.lit(i)) if b is None else b.when(cond, F.lit(i))
-        return b
+    def _bucket_expr(self) -> str:
+        """CASE-WHEN ladder (SQL text) giving each x value its quantile bucket.
+
+        Values below no inner cut point, and nulls, fall in the last bucket.
+        """
+        x = ident(self.x)
+        whens = "".join(
+            f" WHEN {x} < {num(s)} THEN {i}" for i, s in enumerate(self.splits[1:self.nb])
+        )
+        return f"CASE{whens} ELSE {self.nb - 1} END" if whens else "0"
 
     def bucket_of(self, v: float) -> int:
-        """The bucket ``_bucket_col`` assigns to ``v``: inner cut points ≤ v."""
+        """The bucket ``_bucket_expr`` assigns to ``v``: inner cut points ≤ v."""
         return bisect.bisect_right(self.splits, float(v), 1, self.nb) - 1
 
     def buckets_for(self, filters: list[Filter]) -> set[int]:
@@ -136,20 +139,31 @@ class ThetaJoinCleaner:
         )
 
     def _pair_violations(self, r: int, c: int) -> DataFrame:
-        """Violating (t1, t2) pairs with t1 in bucket r, t2 in bucket c."""
-        left = self.data.where(F.col("__bx") == r)
-        right = self.data.where(F.col("__bx") == c)
-        for a in self.dc.atoms:  # intra-partition pruning (Fig 2)
-            left = left.where(OPS[a.op](F.col(a.attr), self._extreme(a, c, True)))
-            right = right.where(OPS[a.op](self._extreme(a, r, False), F.col(a.attr)))
+        """Violating (t1, t2) pairs with t1 in bucket r, t2 in bucket c.
+
+        Each side is one filter, its bucket and the intra-partition pruning
+        (Fig 2) against the partner bucket's extremes, and one projection;
+        the pair check is one filter on the cross product.  All are SQL
+        text with the bounds rendered exactly (:func:`repro.core.sqltext.num`),
+        so a boundary tie is kept as the Python comparison keeps it.
+        """
+        atoms = self.dc.atoms
+        left = [f"__bx = {r}"] + [
+            f"{ident(a.attr)} {a.op} {num(self._extreme(a, c, True))}" for a in atoms
+        ]
+        right = [f"__bx = {c}"] + [
+            f"{num(self._extreme(a, r, False))} {a.op} {ident(a.attr)}" for a in atoms
+        ]
         cols = {"tid": TID, "x": self.x, "y": self.y}
-        l = left.select(*(F.col(a).alias(f"{k}1") for k, a in cols.items()))
-        rr = right.select(*(F.col(a).alias(f"{k}2") for k, a in cols.items()))
-        opx, opy = (OPS[a.op] for a in self.dc.atoms)
-        out = l.crossJoin(rr).where(opx(F.col("x1"), F.col("x2")) & opy(F.col("y1"), F.col("y2")))
-        if r == c:
-            out = out.where(F.col("tid1") != F.col("tid2"))
-        return out
+        l = self.data.where(" AND ".join(left)).selectExpr(
+            *(f"{ident(a)} AS {k}1" for k, a in cols.items())
+        )
+        rr = self.data.where(" AND ".join(right)).selectExpr(
+            *(f"{ident(a)} AS {k}2" for k, a in cols.items())
+        )
+        ax, ay = atoms
+        pair = [f"x1 {ax.op} x2", f"y1 {ay.op} y2"] + (["tid1 != tid2"] if r == c else [])
+        return l.crossJoin(rr).where(" AND ".join(pair))
 
     def detect(self, bucket_rows: set[int] | None = None) -> DataFrame:
         """Violations for all unchecked feasible pairs touching ``bucket_rows``.
@@ -197,9 +211,10 @@ class ThetaJoinCleaner:
         row bucket, the tuples past each partner's extreme.
         """
         ay = self.dc.atoms[1]
-        strictly_past = OPS[ay.op[0]]  # "<=" counts as "<", ">=" as ">"
+        strictly_past = ay.op[0]  # "<=" counts as "<", ">=" as ">"
+        y = ident(self.y)
         rows = one_task.agg(*(
-            F.count_if(strictly_past(F.col(self.y), self._extreme(ay, c, True))).alias(f"c{c}")
+            F.expr(f"count_if({y} {strictly_past} {num(self._extreme(ay, c, True))}) AS c{c}")
             for c in self.bounds
         )).collect()
         est = {i: 0.0 for i in range(self.nb)}

@@ -21,6 +21,7 @@ from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core.prob import CAND_SUFFIX, CHECKED_PREFIX, TID
+from repro.core.sqltext import ident
 
 
 def apply_repairs(dataset: DataFrame, delta: DataFrame) -> DataFrame:
@@ -34,15 +35,19 @@ def apply_repairs(dataset: DataFrame, delta: DataFrame) -> DataFrame:
     auto-broadcast globally; this is an explicit small-side hint).
     """
     cols = [c for c in delta.columns if c.endswith(CAND_SUFFIX) or c.startswith(CHECKED_PREFIX)]
-    new = delta.select(TID, *[F.col(c).alias(f"__new_{c}") for c in cols])
+    new = delta.selectExpr(TID, *[f"{ident(c)} AS {ident('__new_' + c)}" for c in cols])
     merged = {}
     for c in cols:
+        old, fix = ident(c), ident(f"__new_{c}")
         if c.startswith(CHECKED_PREFIX):
-            merged[c] = F.col(c) | F.coalesce(F.col(f"__new_{c}"), F.lit(False))
+            merged[c] = f"{old} OR coalesce({fix}, false) AS {old}"
         else:
-            merged[c] = F.coalesce(F.col(f"__new_{c}"), F.col(c))
-    out = dataset.join(F.broadcast(new), TID, "left").withColumns(merged)
-    return out.drop(*new.columns[1:]).localCheckpoint(eager=True)
+            merged[c] = f"coalesce({fix}, {old}) AS {old}"
+    # the join puts TID first; one projection merges the cells and drops
+    # the delta's columns
+    out = dataset.join(F.broadcast(new), TID, "left")
+    kept = [TID] + [merged.get(c, ident(c)) for c in dataset.columns if c != TID]
+    return out.selectExpr(*kept).localCheckpoint(eager=True)
 
 
 def checkpoint(df: DataFrame, *metrics: Column) -> tuple[DataFrame, dict]:

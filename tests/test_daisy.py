@@ -305,6 +305,29 @@ class TestCheckedAnswerRelaxesIntoUncheckedGroups:
         assert [r.repaired for r in sess.records] == [2, 2]
 
 
+class TestNullLhsGroup:
+    """A violating group with a null lhs is never repaired, so it is not counted."""
+
+    def test_unfiltered_query_cleans_the_table(self, spark):
+        from repro.core import operators
+
+        pdf = pd.DataFrame({"orderkey": ["1", "1", None, None, "2"], "suppkey": [1, 2, 3, 4, 5]})
+        sess = _fresh(spark, prob.spark_with_tid(spark, pdf), use_cost_model=False)
+        assert sess.unrepaired["lineorder"] == {PHI.name: 2}
+        off = offline_clean(prob.spark_with_tid(spark, pdf), [PHI], mode="vectorized").table
+        q = Query("lineorder")
+        got = sess.execute(q)
+        assert "lineorder" in sess.fully_cleaned
+        exp = operators.run_query({"lineorder": off}, q)
+        assert sorted(r[TID] for r in got.select(TID).collect()) == list(range(5))
+        assert sorted(r[TID] for r in exp.select(TID).collect()) == list(range(5))
+        for attr in ("orderkey", "suppkey"):
+            pd.testing.assert_frame_equal(
+                prob.cands_canonical(got, attr), prob.cands_canonical(exp, attr)
+            )
+        assert sess.records[0].repaired == 2
+
+
 class TestJoinQueries:
     def test_join_cleans_both_sides(self, spark):
         lo = ssb.lineorder_pdf(n_rows=600, n_orderkeys=60, n_suppkeys=12)

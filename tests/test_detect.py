@@ -46,6 +46,13 @@ class TestGroupStats:
         g, t, p = detect.dirty_group_summary(detect.group_stats(d, FD(("a",), "b")))
         assert (g, t, p) == (0, 0, 0.0)
 
+    def test_dirty_group_summary_skips_null_lhs(self, spark):
+        # the null-lhs group violates too, but no equi-join on the lhs meets it
+        pdf = pd.DataFrame({"a": ["1", "1", None, None, "2"], "b": [1, 2, 3, 4, 5]})
+        d = prob.spark_with_tid(spark, pdf)
+        g, t, p = detect.dirty_group_summary(detect.group_stats(d, FD(("a",), "b")))
+        assert (g, t, p) == (1, 2, 2.0)
+
 
 class TestViolatingGroups:
     def test_complete_violating_groups(self, cities, phi1):

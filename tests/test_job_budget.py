@@ -5,9 +5,16 @@ a lazily computed side) is fixed cost the §5.2 cost model does not price.
 The jobs of one ``DaisySession.execute`` (and of one offline clean, which
 runs the same repair) are counted exactly from a job group with the status
 tracker.
+
+Building a query's plan is fixed cost too: every Column operator is a
+Python-to-JVM round trip (DESIGN §3, on round trips to the JVM).  The same
+counter counts the py4j commands a call sends, and a few queries have a
+budget of them.
 """
 import numpy as np
 import pandas as pd
+import pytest
+from py4j.clientserver import ClientServerConnection
 from pyspark.sql import DataFrame
 
 from repro.core import prob
@@ -77,21 +84,54 @@ THETA_JOBS = 5
 #: allowance for a plan shape that varies with the Spark version
 SLACK = 2
 
+#: py4j commands of the repairing lhs query's ``execute`` above (its
+#: relaxation, detection, repair and update plans are SQL text; 4986 while
+#: they were chains of Column operators)
+COMMANDS = {"repairs": 812}
+#: py4j commands of the lineorder ⋈ supplier join above, answer count
+#: included (1251 while its renames, value arrays and filters were Column
+#: operators)
+JOIN_COMMANDS = 231
+#: py4j commands of the DC range query's ``execute`` below (5250 while the
+#: pair scans and the fix state were built from Column operators)
+DC_COMMANDS = 497
+#: allowance, as a share, for commands that vary with the PySpark version
+COMMAND_SLACK = 0.1
 
-def _execute_jobs(spark, sess, q, group):
-    return _jobs(spark, group, lambda: sess.execute(q))
+
+def _execute_counts(spark, sess, q, group):
+    return _counts(spark, group, lambda: sess.execute(q))
 
 
-def _jobs(spark, group, run):
+def _counts(spark, group, run):
+    """``(spark_jobs, py4j_commands)`` of ``run()``.
+
+    The jobs are those of a job group, from the status tracker; the
+    commands are counted by wrapping the py4j connection's ``send_command``
+    while ``run`` runs.
+    """
     sc = spark.sparkContext
+    sent = [0]
+    send = ClientServerConnection.send_command
+
+    def counting(self, command):
+        sent[0] += 1
+        return send(self, command)
+
     sc.setJobGroup(group, group)
     try:
-        run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ClientServerConnection, "send_command", counting)
+            run()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     # job-start events reach the status tracker through the listener bus
     sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+    return len(sc.statusTracker().getJobIdsForGroup(group)), sent[0]
+
+
+def _within(got: int, budget: int) -> bool:
+    return got <= budget * (1 + COMMAND_SLACK)
 
 
 def test_execute_job_budget(spark, ssb_small):
@@ -101,12 +141,15 @@ def test_execute_job_budget(spark, ssb_small):
         use_cost_model=False,
     )
     q = Query("lineorder", [Filter("orderkey", "between", 1, 20)])
-    got = {
-        "repairs": _execute_jobs(spark, sess, q, "job-budget-repairs"),
-        "repeat": _execute_jobs(spark, sess, q, "job-budget-repeat"),
+    counted = {
+        "repairs": _execute_counts(spark, sess, q, "job-budget-repairs"),
+        "repeat": _execute_counts(spark, sess, q, "job-budget-repeat"),
     }
+    got = {k: jobs for k, (jobs, _cmds) in counted.items()}
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= JOBS[k] + SLACK for k in JOBS), got
+    cmds = {k: counted[k][1] for k in COMMANDS}
+    assert all(_within(cmds[k], COMMANDS[k]) for k in COMMANDS), cmds
 
 
 def test_session_init_job_budget(spark, ssb_small, monkeypatch):
@@ -118,7 +161,7 @@ def test_session_init_job_budget(spark, ssb_small, monkeypatch):
 
     monkeypatch.setattr(DataFrame, "count", no_count)
     made = []
-    got = _jobs(spark, "job-budget-init", lambda: made.append(DaisySession(
+    got, _cmds = _counts(spark, "job-budget-init", lambda: made.append(DaisySession(
         spark, {"lineorder": df}, {"lineorder": [PHI]}, use_cost_model=False,
     )))
     assert made[0].cost["lineorder"].n == len(dirty)
@@ -138,9 +181,10 @@ def test_join_job_budget(spark, ssb_small):
     sess.execute(Query("lineorder", [Filter("orderkey", "between", 1, 20)])).count()
     q = Query("lineorder", [Filter("suppkey", "between", 1, 20)],
               join=JoinSpec("supplier", "suppkey", "suppkey"))
-    got = _jobs(spark, "job-budget-join", lambda: sess.execute(q).count())
+    got, cmds = _counts(spark, "job-budget-join", lambda: sess.execute(q).count())
     assert sess.records[1].repaired == 0
     assert got <= JOIN_JOBS + SLACK, got
+    assert _within(cmds, JOIN_COMMANDS), cmds
 
 
 def test_unfiltered_job_budget(spark, ssb_small):
@@ -149,7 +193,7 @@ def test_unfiltered_job_budget(spark, ssb_small):
         spark, {"lineorder": prob.spark_with_tid(spark, dirty)}, {"lineorder": [PHI]},
         use_cost_model=False,
     )
-    got = _execute_jobs(spark, sess, Query("lineorder"), "job-budget-unfiltered")
+    got, _cmds = _execute_counts(spark, sess, Query("lineorder"), "job-budget-unfiltered")
     assert sess.records[0].repaired > 0 and sess.records[0].relax_iters == 0
     assert got <= UNFILTERED_JOBS + SLACK, got
 
@@ -161,7 +205,7 @@ def test_full_clean_job_budget(spark, ssb_small):
         use_cost_model=False,
     )
     sess.execute(Query("lineorder", [Filter("orderkey", "between", 1, 20)])).count()
-    got = _jobs(spark, "job-budget-full-clean", lambda: sess.full_clean("lineorder"))
+    got, _cmds = _counts(spark, "job-budget-full-clean", lambda: sess.full_clean("lineorder"))
     assert "lineorder" in sess.fully_cleaned
     assert got <= FULL_CLEAN_JOBS + SLACK, got
 
@@ -174,7 +218,9 @@ def test_full_clean_pass_job_budget(spark, ssb_small):
     )
     sess.execute(Query("lineorder", [Filter("suppkey", "=", 1)])).count()
     assert "lineorder" not in sess.fully_cleaned
-    got = _jobs(spark, "job-budget-full-clean-pass", lambda: sess.full_clean("lineorder"))
+    got, _cmds = _counts(
+        spark, "job-budget-full-clean-pass", lambda: sess.full_clean("lineorder")
+    )
     assert "lineorder" in sess.fully_cleaned
     assert got <= FULL_CLEAN_PASS_JOBS + SLACK, got
 
@@ -188,8 +234,8 @@ def test_answer_only_after_rule_done(spark, ssb_small):
     sess.execute(Query("lineorder")).count()
     assert "lineorder" in sess.fully_cleaned
     q = Query("lineorder", [Filter("suppkey", "between", 3, 9)])
-    assert _execute_jobs(spark, sess, q, "job-budget-rule-done-execute") == 0
-    got = _jobs(spark, "job-budget-rule-done", lambda: sess.execute(q).count())
+    assert _execute_counts(spark, sess, q, "job-budget-rule-done-execute")[0] == 0
+    got, _cmds = _counts(spark, "job-budget-rule-done", lambda: sess.execute(q).count())
     assert sess.records[-1].strategy == "clean"
     assert got <= ANSWER_ONLY_JOBS + SLACK, got
 
@@ -209,7 +255,7 @@ def test_ruled_right_join_job_budget(spark, ssb_small):
     )
     q = Query("lineorder", [Filter("orderkey", "between", 1, 20)],
               join=JoinSpec("supplier", "suppkey", "suppkey"))
-    got = _jobs(spark, "job-budget-ruled-right", lambda: sess.execute(q).count())
+    got, _cmds = _counts(spark, "job-budget-ruled-right", lambda: sess.execute(q).count())
     assert sess.records[0].repaired > 0
     assert got <= RULED_RIGHT_JOIN_JOBS + SLACK, got
 
@@ -228,12 +274,14 @@ def test_execute_dc_job_budget(spark):
         use_cost_model=False, dc_partitions=16,
     )
     q = Query("t", [Filter("extendedprice", "between", 0.0, 2500.0)])
-    got = {
-        "dc": _execute_jobs(spark, sess, q, "job-budget-dc"),
-        "dc-repeat": _execute_jobs(spark, sess, q, "job-budget-dc-repeat"),
+    counted = {
+        "dc": _execute_counts(spark, sess, q, "job-budget-dc"),
+        "dc-repeat": _execute_counts(spark, sess, q, "job-budget-dc-repeat"),
     }
+    got = {k: jobs for k, (jobs, _cmds) in counted.items()}
     assert sess.records[0].repaired > 0 and sess.records[1].repaired == 0
     assert all(got[k] <= DC_JOBS[k] + SLACK for k in DC_JOBS), got
+    assert _within(counted["dc"][1], DC_COMMANDS), counted["dc"]
 
 
 def test_dc_done_job_budget(spark):
@@ -245,14 +293,28 @@ def test_dc_done_job_budget(spark):
     q = Query("t", [Filter("discount", ">=", 0.0)])
     sess.execute(q).count()
     assert sess.records[0].repaired > 0
-    got = _execute_jobs(spark, sess, q, "job-budget-dc-done")
+    got, _cmds = _execute_counts(spark, sess, q, "job-budget-dc-done")
     assert sess.records[1].repaired == 0
     assert got <= DC_DONE_JOBS + SLACK, got
 
 
+def test_dc_buckets_recorded(spark):
+    sess = DaisySession(
+        spark, {"t": _dc_table(spark)}, {"t": [PRICE_DC]},
+        use_cost_model=False, dc_partitions=16,
+    )
+    nb = sess.theta[("t", PRICE_DC.name)].nb
+    # a filter off the bucketing attribute falls back to every bucket
+    sess.execute(Query("t", [Filter("discount", ">=", 0.0)]))
+    sess.execute(Query("t", [Filter("extendedprice", "between", 0.0, 2500.0)]))
+    assert nb > 1
+    assert sess.records[0].dc_buckets == nb
+    assert 0 < sess.records[1].dc_buckets < nb
+
+
 def test_theta_join_build_job_budget(spark):
     df = _dc_table(spark).localCheckpoint(eager=True)
-    got = _jobs(
+    got, _cmds = _counts(
         spark, "job-budget-theta", lambda: ThetaJoinCleaner(df, PRICE_DC, partitions=16)
     )
     assert got <= THETA_JOBS + SLACK, got
@@ -261,7 +323,7 @@ def test_theta_join_build_job_budget(spark):
 def test_offline_clean_job_budget(spark, ssb_small):
     _, dirty, _ = ssb_small
     df = prob.spark_with_tid(spark, dirty)
-    got = _jobs(
+    got, _cmds = _counts(
         spark, "job-budget-offline", lambda: offline_clean(df, [PHI], mode="vectorized")
     )
     assert got <= OFFLINE_JOBS + SLACK, got
