@@ -83,7 +83,6 @@ class DaisySession:
         self.use_cost_model = use_cost_model
         self.accuracy_threshold = accuracy_threshold
         self.tables: dict[str, DataFrame] = {}
-        self.fd_rules: dict[str, list[tuple[FD, int]]] = {}
         self.dc_rules: dict[str, list[DC]] = {}
         self.rule_tables: dict[str, repair.RuleTables] = {}
         self.theta: dict[tuple[str, str], ThetaJoinCleaner] = {}
@@ -102,11 +101,15 @@ class DaisySession:
             if TID not in df.columns:
                 raise ValueError(f"table {name} needs a {TID} column (prob.spark_with_tid)")
             self.tables[name] = df
-            self.fd_rules[name] = []
             self.dc_rules[name] = []
             self.rule_tables[name] = repair.RuleTables()
             self.unrepaired[name] = {}
             self.add_rules(name, rules.get(name, []))
+
+    @property
+    def fd_rules(self) -> dict[str, list[FD]]:
+        """Per table, its FDs in registration order (``RuleTables.fds``)."""
+        return {t: rt.fds for t, rt in self.rule_tables.items()}
 
     # ------------------------------------------------------------------ #
     def add_rules(self, table: str, new_rules: list[Rule]) -> None:
@@ -119,13 +122,15 @@ class DaisySession:
         detection for it runs over provenance values, and merging with
         existing candidates happens at repair time.  A new FD's count of
         unrepaired rows starts at its tuples in violating groups, and the
-        table is no longer fully cleaned.
+        table is no longer fully cleaned.  The cost model's ε starts at the
+        table's unrepaired rows, so the rows queries already repaired are
+        not counted again.
         """
         df = self.tables[table]
+        fds = []
         for r in as_rules(new_rules):
             if isinstance(r, FD):
-                world = repair.lhs_world(len(self.fd_rules[table]))
-                self.fd_rules[table].append((r, world))
+                fds.append(r)
                 df = ensure_cands(df, r.cand_attrs)
                 df = ensure_checked(df, [r.name])
             else:
@@ -134,13 +139,12 @@ class DaisySession:
                     df, r, partitions=self._dc_partitions
                 )
         self.tables[table], row = update.checkpoint(df, F.expr("count(*) AS n"))
-        fds = [fd for fd, _w in self.fd_rules[table]]
         tables = repair.build_tables(self.tables[table], fds, self.rule_tables[table])
         # cost model over the union of FD rules of this table: ε and p come
         # from the precomputed lhs and rhs group-bys (§5.2.3)
         n = row["n"]
         eps, groups, p = 0, 0, 0.0
-        for fd in fds:
+        for fd in tables.fds:
             g, t, pp = detect.dirty_group_summary(tables.stats[fd.name])
             eps += t
             groups += g
@@ -149,7 +153,7 @@ class DaisySession:
         avg_group = eps / groups if groups else 10.0
         self.cost[table] = CostModel(
             n=n,
-            eps_total=eps,
+            eps_total=sum(self.unrepaired[table].values()),
             p=max(p, 1.0),
             avg_group_size=avg_group,
             safety=self._cost_safety,
@@ -162,9 +166,7 @@ class DaisySession:
         placement = {
             t: ("before" if t in self.fully_cleaned else "after") for t in self.tables
         }
-        rules_by_table = {
-            t: [fd for fd, _ in self.fd_rules[t]] + self.dc_rules[t] for t in self.tables
-        }
+        rules_by_table = {t: self.fd_rules[t] + self.dc_rules[t] for t in self.tables}
         columns = {t: base_attrs(df) for t, df in self.tables.items()}
         return build_plan(
             q, rules_by_table, placement_by_table=placement, columns_by_table=columns
@@ -175,11 +177,11 @@ class DaisySession:
         """Run one query: clean what its plan says, return the cleaned result.
 
         The plan opens each input with a ``scan``: the left input, then a
-        join's right input.  Each input in turn is filtered and cleaned
-        under its ``after`` FD ops (:func:`repro.core.operators.clean_side`)
-        on its table as the previous input left it (a self-join's right
-        input sees the left input's repairs), then its ``clean_dc`` ops run
-        with its filters.  An input nothing cleans launches no Spark job.
+        join's right input.  Each input in turn with ``after`` FD ops is
+        cleaned under them (:func:`repro.core.operators.clean_sigma`) on its
+        table as the previous input left it (a self-join's right input sees
+        the left input's repairs), then its ``clean_dc`` ops run with its
+        filters.  An input nothing cleans launches no Spark job.
         The answer is the probabilistic query over the updated tables
         (Definition 3's re-evaluated join, Lemma 5).
 
@@ -187,7 +189,9 @@ class DaisySession:
         table is fully cleaned (:meth:`_count_repaired`): the plan places
         its FD ops ``before``, so its inputs cost only the answer.  A query
         that finds ``q.table`` not fully cleaned gives its cost model the
-        counts of the inputs on ``q.table``.
+        counts of the inputs on ``q.table``; its repaired rows are the
+        rules' violating-group rows (``CleanStats.violating``), the unit of
+        the table's unrepaired counts.
         """
         t0 = time.time()
         rec = QueryRecord(0.0, 0, 0, 0)
@@ -200,15 +204,15 @@ class DaisySession:
         for filters, start, end in zip(inputs, scans, scans[1:] + [len(ops)]):
             side = ops[start:end]
             t = side[0].table
-            fds = [fd for fd, _w in self.fd_rules[t]
+            fds = [fd for fd in self.fd_rules[t]
                    if PlanOp("clean_sigma", t, fd.name, "after") in side]
-            self.tables[t], st = operators.clean_side(
-                self.tables[t], filters, fds, self.fd_rules[t], self.rule_tables[t],
-                relax_mode=self.relax_mode,
-            )
+            st, answer = operators.CleanStats(), None
             if fds:
+                self.tables[t], st = operators.clean_sigma(
+                    self.tables[t], filters, fds, self.rule_tables[t], relax_mode=self.relax_mode
+                )
                 self._count_repaired(t, st.violating)
-            answer = st.answer if fds else None
+                answer = st.answer
             for o in side:
                 if o.op == "clean_dc":
                     answer = self._clean_dc(t, self.theta[(t, o.rule)].dc, filters, answer, rec)
@@ -219,7 +223,7 @@ class DaisySession:
             if t == table:
                 own.q_i += answer or 0
                 own.e_i += st.extras
-                own.eps_i += st.repaired
+                own.eps_i += sum(st.violating.values())
         if not any(o.op == "clean_sigma" and o.placement == "after" for o in ops):
             rec.strategy = "clean" if table in self.fully_cleaned else "no-rule"
         result = operators.run_query(self.tables, q)
@@ -258,9 +262,9 @@ class DaisySession:
         """
         rules = self.fd_rules[table]
         self.tables[table] = self.tables[table].withColumns(
-            {checked_col(fd.name): F.lit(True) for fd, _w in rules}
+            {checked_col(fd.name): F.lit(True) for fd in rules}
         )
-        self.unrepaired[table] = {fd.name: 0 for fd, _w in rules}
+        self.unrepaired[table] = {fd.name: 0 for fd in rules}
         self.fully_cleaned.add(table)
 
     # ------------------------------------------------------------------ #
@@ -334,8 +338,8 @@ class DaisySession:
         df = self.tables[table]
         rules = self.fd_rules[table]
         if rules:
-            todo = " OR ".join(f"NOT {ident(checked_col(fd.name))}" for fd, _w in rules)
-            fixes = repair.repair_all(df.where(todo), rules, self.rule_tables[table])
+            todo = " OR ".join(f"NOT {ident(checked_col(fd.name))}" for fd in rules)
+            fixes = repair.repair_all(df.where(todo), self.rule_tables[table])
             self.tables[table] = update.apply_repairs(df, fixes)
         self._mark_cleaned(table)
 

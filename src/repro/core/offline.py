@@ -69,7 +69,6 @@ def offline_clean(
     rules = as_rules(rules)
     fds = [r for r in rules if isinstance(r, FD)]
     dcs = [r for r in rules if isinstance(r, DC)]
-    fd_worlds = [(fd, repair.lhs_world(i)) for i, fd in enumerate(fds)]
     out = ensure_cands(df, sorted({a for fd in fds for a in fd.cand_attrs}))
     out = ensure_checked(out, [fd.name for fd in fds]).localCheckpoint(eager=True)
 
@@ -82,7 +81,7 @@ def offline_clean(
         out = out.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
         n_rows = F.count("*").alias("n")
         if mode == "vectorized":
-            fixes, row = update.checkpoint(repair.repair_all(out, fd_worlds, tables), n_rows)
+            fixes, row = update.checkpoint(repair.repair_all(out, tables), n_rows)
             repaired = row["n"]
             out = update.apply_repairs(out, fixes)
             passes = 1
@@ -110,7 +109,7 @@ def offline_clean(
                     # the lookup merges the worlds of every rule a row is
                     # dirty under, not only this batch's
                     fix_frames.append(
-                        repair.repair_all(out.where(cond), fd_worlds, tables)
+                        repair.repair_all(out.where(cond), tables)
                         .localCheckpoint(eager=True)
                     )
                     passes += 1

@@ -68,36 +68,36 @@ def dirty_col(rule_name: str) -> str:
 
 def clean_sigma(
     dataset: DataFrame,
-    answer: DataFrame,
-    fds: list[FD],
-    all_rules: list[tuple[FD, int]],
-    tables: repair.RuleTables,
     filters: list[Filter],
+    fds: list[FD],
+    tables: repair.RuleTables,
     *,
     relax_mode: str = "lemma",
 ) -> tuple[DataFrame, CleanStats]:
     """Definition 2: relax the select result, fix errors, update in place.
 
-    Returns ``(updated_dataset, stats)``.  ``answer`` is the result of
-    ``filters`` over ``dataset``; ``fds`` (non-empty) are the rules
-    relevant to this query; ``all_rules`` every (rule, world) pair the
-    session knows — needed because repairing a tuple under a new rule
-    re-merges the worlds of every rule it is dirty under (§4.3 / Lemma 4);
-    ``tables`` their statistics and candidate tables.
+    Returns ``(updated_dataset, stats)``.  The select result is ``filters``
+    over ``dataset``; ``fds`` (non-empty) are the rules cleaned after the
+    filter; ``tables`` holds every rule of the table
+    (:class:`repro.core.repair.RuleTables`), because repairing a tuple under
+    one rule re-merges the worlds of every rule it is dirty under (§4.3 /
+    Lemma 4).
 
-    The region is one filter over ``dataset``: the filters' predicate or
-    any rule's relaxation predicate (:func:`relax.relax_fd`); the filters'
-    predicate also marks its answer rows; with several rules the region
-    takes in its rows' groups under all of them (:func:`relax.whole_groups`).
-    With no filter the answer is the whole dataset, so it is the region and
-    no relaxation round runs.  One aggregate counts the region's rows, its
-    answer rows and its rows unchecked under any of ``fds``.  With no
-    unchecked row the dataset is returned as it is, before detection, and
-    this exit is exact: a row is ``CHANGED`` only if it is unchecked, and a
-    group is repaired (``VIOLATING``) only if all of its ``group_size ≥ 1``
-    rows are unchecked, so detection would change nothing and repair
-    nothing.  The exit reads the region, not the answer: a checked answer
-    can relax into unchecked groups.
+    The filters' predicate is built once: the answer it selects seeds each
+    rule's relaxation (:func:`relax.relax_fd`), and it marks the region's
+    answer rows.  The region is one filter over ``dataset``: the filters'
+    predicate or any rule's relaxation predicate; with several rules the
+    region takes in its rows' groups under all of them
+    (:func:`relax.whole_groups`).  With no filter the answer is the whole
+    dataset, so it is the region and no relaxation round runs.  One
+    aggregate counts the region's rows, its answer rows and its rows
+    unchecked under any of ``fds``.  With no unchecked row the dataset is
+    returned as it is, before detection, and this exit is exact: a row is
+    ``CHANGED`` only if it is unchecked, and a group is repaired
+    (``VIOLATING``) only if all of its ``group_size ≥ 1`` rows are
+    unchecked, so detection would change nothing and repair nothing.  The
+    exit reads the region, not the answer: a checked answer can relax into
+    unchecked groups.
 
     Otherwise each phase is one pass: detection puts each rule's group
     facts on the region rows as flags (one checkpoint, which also counts
@@ -109,6 +109,7 @@ def clean_sigma(
     in_answer = filter_predicate(dataset, filters)
     relaxed = in_answer
     if filters:
+        answer = dataset.where(in_answer)
         max_iter = 0 if relax_mode == "closure" else None
         for fd in fds:
             side = filter_side(fd, filters)
@@ -142,7 +143,7 @@ def clean_sigma(
     delta = flagged.where(f"{CHANGED} AND NOT {DIRTY}").selectExpr(*keep)
     if st.repaired:
         # the dirty rows are changed rows too; they also carry their cells
-        fixed = repair.compute_repairs(flagged.where(DIRTY), all_rules, tables)
+        fixed = repair.compute_repairs(flagged.where(DIRTY), tables)
         cells = [ident(c) for c in fixed.columns if c.endswith(CAND_SUFFIX)]
         delta = fixed.selectExpr(*keep, *cells).unionByName(delta, allowMissingColumns=True)
     return update.apply_repairs(dataset, delta), st
@@ -182,37 +183,12 @@ def _detect(region: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame
     return out
 
 
-def clean_side(
-    dataset: DataFrame,
-    filters: list[Filter],
-    fds: list[FD],
-    all_rules: list[tuple[FD, int]],
-    tables: repair.RuleTables,
-    *,
-    relax_mode: str = "lemma",
-) -> tuple[DataFrame, CleanStats]:
-    """One query input: filter it, then clean_σ the answer under ``fds``.
-
-    ``fds`` are the input's FD rules the plan cleans ``after`` the filter;
-    with none, nothing is cleaned and nothing is counted, so the input
-    launches no Spark job and its stats are zero.  Returns
-    ``(updated, stats)``.  The answer stays a lazy filter over the
-    (checkpointed) dataset.
-    """
-    if not fds:
-        return dataset, CleanStats()
-    answer = apply_filters(dataset, filters)
-    return clean_sigma(dataset, answer, fds, all_rules, tables, filters, relax_mode=relax_mode)
-
-
 def clean_join(
     left_dataset: DataFrame,
     right_dataset: DataFrame,
     q: Query,
     left_rules: list[FD],
     right_rules: list[FD],
-    left_all: list[tuple[FD, int]],
-    right_all: list[tuple[FD, int]],
     left_tables: repair.RuleTables,
     right_tables: repair.RuleTables,
     *,
@@ -220,26 +196,30 @@ def clean_join(
 ) -> tuple[DataFrame, DataFrame, DataFrame, CleanStats, CleanStats]:
     """Definition 3: clean both qualifying parts, re-evaluate the join.
 
-    (a) extracts the qualifying part of each input, (b) cleans each part and
-    updates each relation separately (:func:`clean_side`), (c) recomputes
-    the (incremental, probabilistic) join — extra tuples produced by
-    relaxation can only match already-qualifying partners (Lemma 5), so the
-    recomputation needs no further violation checks.  A self-join's right
-    input is cleaned on the left input's output.  The session runs (b) one
-    input at a time and (c) as its answer; this is Definition 3 as one
-    call, which the Table 4 tests exercise.
+    (a) extracts the qualifying part of each input, (b) cleans each part
+    that has rules and updates each relation separately (:func:`clean_sigma`),
+    (c) recomputes the (incremental, probabilistic) join — extra tuples
+    produced by relaxation can only match already-qualifying partners
+    (Lemma 5), so the recomputation needs no further violation checks.  A
+    self-join's right input is cleaned on the left input's output.  The
+    session runs (b) one input at a time and (c) as its answer; this is
+    Definition 3 as one call, which the Table 4 tests exercise.
 
     Returns ``(left_updated, right_updated, join_result, lstats, rstats)``.
     """
     assert q.join is not None
     self_join = q.join.right_table == q.table
-    left_updated, lst = clean_side(
-        left_dataset, q.filters, left_rules, left_all, left_tables, relax_mode=relax_mode
-    )
-    right_updated, rst = clean_side(
-        left_updated if self_join else right_dataset, q.join.right_filters, right_rules,
-        right_all, right_tables, relax_mode=relax_mode,
-    )
+    left_updated, lst = left_dataset, CleanStats()
+    if left_rules:
+        left_updated, lst = clean_sigma(
+            left_dataset, q.filters, left_rules, left_tables, relax_mode=relax_mode
+        )
+    right_updated, rst = left_updated if self_join else right_dataset, CleanStats()
+    if right_rules:
+        right_updated, rst = clean_sigma(
+            right_updated, q.join.right_filters, right_rules, right_tables,
+            relax_mode=relax_mode,
+        )
     if self_join:
         left_updated = right_updated
     # re-extract the (possibly grown) qualifying parts from the updated

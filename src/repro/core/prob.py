@@ -9,7 +9,8 @@ Attribute-level uncertainty: a cleaned table keeps, for every attribute
   (null ⇒ the cell has not been repaired).
 
 World ids: ``w = 1`` is the rhs-varies world (lhs kept, merged across rules
-per §4.3); ``w = 2 + rule_index`` are the lhs-varies worlds, one per rule.
+per §4.3); ``w = 2 + i`` is the lhs-varies world of the rule at position
+``i`` of its table's rules (:func:`repro.core.repair.lhs_world`).
 
 Query semantics (§4): an operator outputs a tuple iff at least one candidate
 value qualifies; (self-)joins on probabilistic keys match iff the candidate
@@ -135,14 +136,6 @@ def values_sql(attr: str, has_cands: bool, *, distinct: bool = True) -> str:
     if distinct:
         values = f"array_distinct({values})"
     return f"CASE WHEN {cc} IS NULL THEN {clean} ELSE {values} END"
-
-
-def possible_values(df: DataFrame, attr: str) -> Column:
-    """Array of all candidate values of the cell (or the single clean value).
-
-    One ``F.expr`` of :func:`values_sql`.
-    """
-    return F.expr(values_sql(attr, cands_col(attr) in df.columns))
 
 
 def prob_equijoin(left: DataFrame, right: DataFrame, left_on: str, right_on: str) -> DataFrame:

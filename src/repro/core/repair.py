@@ -59,20 +59,23 @@ LHS_COUNTS, N_LHS, IN_VIOLATING = "lhs_counts", "n_lhs", "in_violating"
 
 
 def lhs_world(rule_index: int) -> int:
-    """World id of rule ``rule_index``'s lhs-varies world."""
+    """World id of the lhs-varies world of the rule at ``rule_index`` in ``RuleTables.fds``."""
     return 2 + rule_index
 
 
 @dataclass
 class RuleTables:
-    """The §6 statistics and candidate tables of one table's FD rules.
+    """One table's FD rules with their §6 statistics and candidate tables.
 
+    ``fds``: the rules in registration order; a rule's position gives its
+    lhs world (:func:`lhs_world`);
     ``stats``: per rule, :func:`repro.core.detect.group_stats` (world 1);
     ``world2``: per rule, one row per rhs value (:func:`_by_rhs`);
     ``joint``: per set of ≥2 rules sharing an rhs, one row per combination
     of their lhs values with its rhs value counts.  All are checkpointed.
     """
 
+    fds: list[FD] = field(default_factory=list)
     stats: dict[str, DataFrame] = field(default_factory=dict)
     world2: dict[str, DataFrame] = field(default_factory=dict)
     joint: dict[frozenset[str], DataFrame] = field(default_factory=dict)
@@ -81,6 +84,7 @@ class RuleTables:
 def build_tables(dataset: DataFrame, fds: list[FD], tables: RuleTables | None = None) -> RuleTables:
     """Count the candidate distributions of ``fds`` over ``dataset``.
 
+    The rules ``tables`` does not know yet are appended to ``tables.fds``.
     Tables already in ``tables`` are kept (a rule added later — Table 7's
     arrival — only adds its own tables and the joint tables of the rule
     sets it joins), so ``tables`` is extended and returned.
@@ -88,10 +92,11 @@ def build_tables(dataset: DataFrame, fds: list[FD], tables: RuleTables | None = 
     tables = tables if tables is not None else RuleTables()
     for fd in fds:
         if fd.name not in tables.stats:
+            tables.fds.append(fd)
             stats = detect.group_stats(dataset, fd).localCheckpoint(eager=True)
             tables.stats[fd.name] = stats
             tables.world2[fd.name] = _by_rhs(stats, fd).localCheckpoint(eager=True)
-    for group in _by_rhs_attr(fds).values():
+    for group in _by_rhs_attr(tables.fds).values():
         for subset in _subsets(group):
             key = frozenset(fd.name for fd in subset)
             if len(subset) > 1 and key not in tables.joint:
@@ -158,10 +163,10 @@ def _subsets(items: list) -> list[list]:
     return [list(c) for k in range(1, len(items) + 1) for c in combinations(items, k)]
 
 
-def compute_repairs(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTables) -> DataFrame:
+def compute_repairs(rows: DataFrame, tables: RuleTables) -> DataFrame:
     """The candidate cells of ``rows``, looked up in ``tables``.
 
-    ``rules``: list of ``(fd, world_id)`` — every rule the session knows.
+    ``tables`` holds every rule the table knows (``tables.fds``).
     ``rows``: the tuples to repair, with their ``__checked__<rule>`` flags.
     A tuple is repaired under every rule whose flag it carries and whose
     violating group contains it, so a tuple repaired now re-merges the
@@ -176,8 +181,8 @@ def compute_repairs(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTa
     plan costs a few Python-to-JVM calls per rule (DESIGN §3, on round
     trips to the JVM).
     """
-    fds = [fd for fd, _w in rules]
-    world = {fd.name: w for fd, w in rules}
+    fds = tables.fds
+    world = {fd.name: lhs_world(i) for i, fd in enumerate(fds)}
     out = rows
     dirty: dict[str, str] = {}
     counts: dict[frozenset[str], str] = {}
@@ -236,7 +241,7 @@ def compute_repairs(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTa
     return out.where(_any(list(dirty.values()))).selectExpr(*kept, *cells.values())
 
 
-def repair_all(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTables) -> DataFrame:
+def repair_all(rows: DataFrame, tables: RuleTables) -> DataFrame:
     """A full clean's fixes of ``rows``: ``TID`` and the candidate cells.
 
     A full clean examines every group of every rule, so every rule's checked
@@ -244,8 +249,8 @@ def repair_all(rows: DataFrame, rules: list[tuple[FD, int]], tables: RuleTables)
     group is repaired under every rule it is dirty under.  The session's
     switch and both offline modes run this pass.
     """
-    checked = {checked_col(fd.name): F.lit(True) for fd, _w in rules}
-    fixed = compute_repairs(rows.withColumns(checked), rules, tables)
+    checked = {checked_col(fd.name): F.lit(True) for fd in tables.fds}
+    fixed = compute_repairs(rows.withColumns(checked), tables)
     return fixed.selectExpr(TID, *[ident(c) for c in fixed.columns if c.endswith(CAND_SUFFIX)])
 
 

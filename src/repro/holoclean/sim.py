@@ -33,6 +33,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.constraints import FD
+from repro.core.repair import lhs_world
 
 
 @dataclass
@@ -285,7 +286,7 @@ class HolocleanSim:
 def daisy_p_choose(
     cands: dict[str, pd.DataFrame],
     dirty: pd.DataFrame,
-    rules: list[tuple[FD, int]],
+    rules: list[FD],
     *,
     change_prior: float = 0.5,
     top_k: int = 4,
@@ -293,10 +294,12 @@ def daisy_p_choose(
     """DaisyP: select the most probable consistent world per tuple.
 
     ``cands``: attr → canonical candidates frame ``(tid, v, p, w)``
-    (from :func:`repro.core.prob.cands_canonical`).  Each rule offers its
-    world-1 option (keep lhs, rhs = one candidate) and its world-``w_r``
-    options (keep rhs, lhs = one candidate); a combination must agree on
-    shared attributes and multiplies its options' probabilities with
+    (from :func:`repro.core.prob.cands_canonical`).  ``rules``: the
+    table's FDs in registration order, which gives each its lhs world
+    (:func:`repro.core.repair.lhs_world`).  Each rule offers its world-1
+    option (keep lhs, rhs = one candidate) and its lhs-world options (keep
+    rhs, lhs = one candidate); a combination must agree on shared
+    attributes and multiplies its options' probabilities with
     ``change_prior`` per changed cell.  Returns ``(rid, attr, value)``.
     """
     dirty = dirty.reset_index(drop=True)
@@ -307,12 +310,12 @@ def daisy_p_choose(
     # attrs that are the (single) lhs of some rule: their world-1 keep
     # entries (p=1, v=observed) must not be mistaken for another rule's
     # merged rhs distribution over the same attribute
-    lhs_attrs = {fd.lhs[0] for fd, _ in rules if fd.single_lhs}
+    lhs_attrs = {fd.lhs[0] for fd in rules if fd.single_lhs}
     rows = []
     for tid, attr_cands in by_tid.items():
         options_per_rule = []
         involved_attrs: set[str] = set()
-        for fd, w_r in rules:
+        for i, fd in enumerate(rules):
             if not fd.single_lhs:
                 # composite lhs: only the rhs-varies world exists
                 rhs_opts = [
@@ -336,7 +339,7 @@ def daisy_p_choose(
             keep_rhs = [
                 ({la: v, fd.rhs: obs_r}, p)
                 for v, p, w in sorted(attr_cands.get(la, []), key=lambda t: -t[1])
-                if w == w_r
+                if w == lhs_world(i)
             ]
             opts = keep_lhs[:top_k] + keep_rhs[:top_k]
             if not opts:

@@ -255,6 +255,47 @@ class TestCostModelCountsItsTable:
         assert sess.records[-1].repaired > got.eps_i  # the supplier's repairs too
 
 
+class TestCostModelEpsOverlappingRules:
+    """ε counts rows per rule, like the unrepaired counts, with rules sharing rows."""
+
+    PHI_O = FD(("orderkey",), "suppkey", name="phi_o")
+    PHI_C = FD(("custkey",), "suppkey", name="phi_c")
+    # phi_o: groups 1 and 2 violate; phi_c: groups 10 and 13 violate
+    PDF = pd.DataFrame({
+        "orderkey": [1, 1, 2, 2, 3, 4], "custkey": [10, 10, 11, 12, 13, 13],
+        "suppkey": ["a", "b", "c", "d", "e", "f"],
+    })
+    FILTERS = [Filter("orderkey", "=", 1), Filter("orderkey", "=", 2), Filter("custkey", "=", 13)]
+
+    def _session(self, spark, fds):
+        return DaisySession(
+            spark, {"t": prob.spark_with_tid(spark, self.PDF)}, {"t": fds},
+            use_cost_model=True, cost_safety=1e9,
+        )
+
+    @staticmethod
+    def _eps_matches(sess):
+        assert sess.cost["t"].eps_remaining == sum(sess.unrepaired["t"].values())
+
+    def test_eps_remaining_is_the_unrepaired_rows(self, spark):
+        sess = self._session(spark, [self.PHI_O, self.PHI_C])
+        self._eps_matches(sess)
+        for f in self.FILTERS:
+            sess.execute(Query("t", [f])).count()
+            self._eps_matches(sess)
+        assert "t" in sess.fully_cleaned and sess.switched_at is None
+
+    def test_rule_added_later_does_not_recount_repaired_rows(self, spark):
+        sess = self._session(spark, [self.PHI_O])
+        sess.execute(Query("t", [self.FILTERS[0]])).count()
+        sess.add_rules("t", [self.PHI_C])
+        assert sess.unrepaired["t"] == {"phi_o": 2, "phi_c": 4}
+        self._eps_matches(sess)
+        for f in self.FILTERS[1:]:
+            sess.execute(Query("t", [f])).count()
+            self._eps_matches(sess)
+
+
 class TestAddRules:
     def test_incremental_rule_arrival_matches_joint_offline(self, spark):
         pdf = pd.DataFrame(

@@ -84,7 +84,7 @@ class TestViolatingGroups:
 
     def test_violating_tids_offline_scope(self, cities, phi1):
         rows = cities.withColumn(checked_col(phi1.name), F.lit(True))
-        tids = repair.compute_repairs(rows, [(phi1, 2)], repair.build_tables(cities, [phi1]))
+        tids = repair.compute_repairs(rows, repair.build_tables(cities, [phi1]))
         assert sorted(r[TID] for r in tids.collect()) == [0, 1, 2, 3, 4]
 
     def test_clean_group_not_violating(self, spark):

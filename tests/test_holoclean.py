@@ -123,7 +123,7 @@ class TestDaisyP:
             ),
         }
         dirty = pd.DataFrame({"zip": ["z1"], "city": ["SF"]})
-        chosen = daisy_p_choose(cands, dirty, [(PHI1, 2)])
+        chosen = daisy_p_choose(cands, dirty, [PHI1])
         got = dict(zip(chosen["attr"], chosen["value"]))
         assert got["city"] == "LA" and got["zip"] == "z1"
 
@@ -155,7 +155,7 @@ class TestDaisyP:
             ),
         }
         dirty = pd.DataFrame({"zip": ["zB"], "city": ["X"], "name": ["h0"]})
-        chosen = daisy_p_choose(cands, dirty, [(PHI1, 2), (phi2, 3)])
+        chosen = daisy_p_choose(cands, dirty, [PHI1, phi2])
         got = dict(zip(chosen["attr"], chosen["value"]))
         assert got["zip"] == "z1"  # error fixed through name evidence
         assert got["city"] == "X"  # correct city kept (no wrong update)
@@ -173,7 +173,7 @@ class TestDaisyP:
         }
         dirty = pd.DataFrame({"zip": ["zB"], "city": ["X"]})
         # keep-rhs world keeps everything observed at 0.7 ≥ 0.6·λ — no edit
-        chosen = daisy_p_choose(cands, dirty, [(PHI1, 2)], change_prior=0.5)
+        chosen = daisy_p_choose(cands, dirty, [PHI1], change_prior=0.5)
         got = dict(zip(chosen["attr"], chosen["value"]))
         assert got["city"] == "X" and got["zip"] == "zB"
 

@@ -24,18 +24,9 @@ class TestApplyFilters:
 class TestCleanSigma:
     @pytest.fixture()
     def cleaned(self, cities, phi1):
-        A = cities.where(prob.qualifies(cities, "city", "=", "Los Angeles")).localCheckpoint(
-            eager=True
-        )
         tables = repair.build_tables(cities, [phi1])
         updated, st = operators.clean_sigma(
-            cities,
-            A,
-            [phi1],
-            [(phi1, 2)],
-            tables,
-            [Filter("city", "=", "Los Angeles")],
-            relax_mode="closure",
+            cities, [Filter("city", "=", "Los Angeles")], [phi1], tables, relax_mode="closure"
         )
         return updated, st
 
@@ -54,11 +45,9 @@ class TestCleanSigma:
 
     def test_second_pass_no_new_repairs(self, cleaned, phi1):
         updated, _ = cleaned
-        A = updated.where(prob.qualifies(updated, "city", "=", "New York"))
         tables = repair.build_tables(updated, [phi1])
         updated2, st2 = operators.clean_sigma(
-            updated, A.localCheckpoint(eager=True), [phi1], [(phi1, 2)], tables,
-            [Filter("city", "=", "New York")], relax_mode="closure",
+            updated, [Filter("city", "=", "New York")], [phi1], tables, relax_mode="closure"
         )
         assert st2.repaired == 0
         pd.testing.assert_frame_equal(
@@ -75,7 +64,6 @@ class TestCleanSigmaTwoRules:
 
     FA = FD(("zip",), "state", name="fa")
     FB = FD(("city",), "state", name="fb")
-    RULES = [(FA, 2), (FB, 3)]
 
     @pytest.fixture()
     def two_fd(self, spark):
@@ -100,7 +88,7 @@ class TestCleanSigmaTwoRules:
         stats = tables.stats
         fds = [self.FA, self.FB]
         answer = operators.apply_filters(d, filters)
-        updated, st = operators.clean_sigma(d, answer, fds, self.RULES, tables, filters)
+        updated, st = operators.clean_sigma(d, filters, fds, tables)
 
         region, iters = answer, 0
         for fd in fds:
@@ -127,8 +115,7 @@ class TestCleanSigmaTwoRules:
         d, tables = two_fd
         filters = [Filter("zip", "=", "nowhere")]
         updated, st = operators.clean_sigma(
-            d, operators.apply_filters(d, filters), [self.FA, self.FB], self.RULES, tables,
-            filters, relax_mode=relax_mode,
+            d, filters, [self.FA, self.FB], tables, relax_mode=relax_mode
         )
         assert (st.answer, st.extras, st.repaired) == (0, 0, 0)
         if relax_mode == "closure":  # the Lemma budget still counts its rounds
@@ -166,7 +153,7 @@ class TestCleanJoin:
             join=JoinSpec("emp", "zip", "zip"),
         )
         return operators.clean_join(
-            c, e, q, [phi1], [phi2], [(phi1, 2)], [(phi2, 2)],
+            c, e, q, [phi1], [phi2],
             repair.build_tables(c, [phi1]), repair.build_tables(e, [phi2]),
             relax_mode="closure",
         )

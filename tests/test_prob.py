@@ -95,12 +95,13 @@ class TestQualification:
 
 class TestValueSets:
     def test_possible_values_clean(self, simple):
-        row = simple.select(prob.possible_values(simple, "k").alias("pv")).collect()
+        row = simple.select(F.expr(prob.values_sql("k", True)).alias("pv")).collect()
         assert sorted(r["pv"] for r in row) == [[1], [2], [3]]
 
     def test_possible_values_cands(self, simple):
         d = _with_cands(simple, 0, "k", [(1, 0.5, 1), (7, 0.5, 2)])
-        pv = d.where(F.col(TID) == 0).select(prob.possible_values(d, "k").alias("pv")).first()["pv"]
+        pv = d.where(F.col(TID) == 0).select(F.expr(prob.values_sql("k", True)).alias("pv"))
+        pv = pv.first()["pv"]
         assert sorted(pv) == [1, 7]
 
 

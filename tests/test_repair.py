@@ -14,17 +14,14 @@ from repro.core.planner import Filter, Query
 from repro.core.prob import TID, checked_col
 
 
-def _fixes(df, rules):
+def _fixes(df, fds):
     """The repairs of every member of a violating group (test helper)."""
-    fds = [fd for fd, _w in rules]
-    rows = df.withColumns({checked_col(fd.name): F.lit(True) for fd in fds})
-    fixed = repair.compute_repairs(rows, rules, repair.build_tables(df, fds))
-    return fixed.select(TID, *[c for c in fixed.columns if c.endswith(prob.CAND_SUFFIX)])
+    return repair.repair_all(df, repair.build_tables(df, fds))
 
 
 @pytest.fixture()
 def repaired_cities(cities, phi1):
-    fixes = _fixes(cities, [(phi1, 2)])
+    fixes = _fixes(cities, [phi1])
     return update.apply_repairs(cities.withColumn(checked_col(phi1.name), F.lit(True)), fixes)
 
 
@@ -74,7 +71,7 @@ class TestOracleProbabilities:
         d = prob.spark_with_tid(spark, dirty)
         d = prob.ensure_cands(d, ["orderkey", "suppkey"])
         fd = FD(("orderkey",), "suppkey", name="phi")
-        fixes = _fixes(d, [(fd, 2)])
+        fixes = _fixes(d, [fd])
         out = update.apply_repairs(d, fixes)
         got = prob.cands_canonical(out, "suppkey")
         got = got[got.w == 1].merge(
@@ -120,15 +117,15 @@ class TestMultiRuleMerge:
         d = prob.spark_with_tid(spark, pdf)
         return prob.ensure_cands(d, ["zip", "city", "state"])
 
-    def _repairs(self, df, rules):
+    def _repairs(self, df, fds):
         # every dirty tuple repaired under every rule it is dirty under
-        fixes = _fixes(df, rules)
+        fixes = _fixes(df, fds)
         return update.apply_repairs(df, fixes)
 
     def test_union_probabilities(self, two_rule_df):
         fa = FD(("zip",), "state", name="phi_a")
         fb = FD(("city",), "state", name="phi_b")
-        out = self._repairs(two_rule_df, [(fa, 2), (fb, 3)])
+        out = self._repairs(two_rule_df, [fa, fb])
         s = prob.cands_canonical(out, "state")
         # tuple 4 (z1, LA, NV): supporters = rows with zip=z1 ∪ city=LA
         # = tids {0,1,4} ∪ {0,1,3,4} = {0,1,3,4}: states CA,CA,WA,NV
@@ -140,8 +137,8 @@ class TestMultiRuleMerge:
     def test_lemma4_commutativity(self, two_rule_df):
         fa = FD(("zip",), "state", name="phi_a")
         fb = FD(("city",), "state", name="phi_b")
-        out_ab = self._repairs(two_rule_df, [(fa, 2), (fb, 3)])
-        out_ba = self._repairs(two_rule_df, [(fb, 2), (fa, 3)])
+        out_ab = self._repairs(two_rule_df, [fa, fb])
+        out_ba = self._repairs(two_rule_df, [fb, fa])
         a = prob.cands_canonical(out_ab, "state")
         b = prob.cands_canonical(out_ba, "state")
         # world ids of the lhs sides differ by registration order; compare the
@@ -155,7 +152,7 @@ class TestMultiRuleMerge:
         # is dirty only under phi_a (city SF group is clean: single row)
         fa = FD(("zip",), "state", name="phi_a")
         fb = FD(("city",), "state", name="phi_b")
-        out = self._repairs(two_rule_df, [(fa, 2), (fb, 3)])
+        out = self._repairs(two_rule_df, [fa, fb])
         s = prob.cands_canonical(out, "state")
         t2 = s[(s.tid == 2) & (s.w == 1)].set_index("v")["p"]
         # supporters of tuple 2 = zip z2 rows only: {CA, WA}
@@ -177,7 +174,7 @@ class TestUpdate:
         assert n == 5
 
     def test_second_update_preserves_other_cells(self, cities, phi1):
-        fixes = _fixes(cities, [(phi1, 2)])
+        fixes = _fixes(cities, [phi1])
         once = update.apply_repairs(cities, fixes)
         # a later empty update must not clobber existing candidates
         twice = update.apply_repairs(
@@ -196,11 +193,12 @@ class TestValueKeyedTables:
     with ``a → x``, so one lhs cell merges two lhs worlds.
     """
 
+    #: lhs worlds 2-5, in this order
     RULES = [
-        (FD(("a", "b"), "x", name="r_ab"), 2),
-        (FD(("a",), "x", name="r_a"), 3),
-        (FD(("c",), "x", name="r_c"), 4),
-        (FD(("a",), "y", name="r_ay"), 5),
+        FD(("a", "b"), "x", name="r_ab"),
+        FD(("a",), "x", name="r_a"),
+        FD(("c",), "x", name="r_c"),
+        FD(("a",), "y", name="r_ay"),
     ]
     ATTRS = ["a", "c", "x", "y"]
 
@@ -218,7 +216,7 @@ class TestValueKeyedTables:
         con = duckdb.connect()
         con.register("d", pdf.assign(tid=range(len(pdf))))
         flags = []
-        for i, (fd, _w) in enumerate(self.RULES):
+        for i, fd in enumerate(self.RULES):
             lhs = ", ".join(fd.lhs)
             con.execute(
                 f"CREATE TABLE v{i} AS SELECT {lhs} FROM d GROUP BY {lhs} "
@@ -244,7 +242,7 @@ class TestValueKeyedTables:
         # world 1 of x: the union of the supporter groups of the dirty rules
         union = " OR ".join(
             f"(t.d{i} AND " + " AND ".join(f"s.{a} = t.{a}" for a in fd.lhs) + ")"
-            for i, (fd, _w) in enumerate(self.RULES[:3])
+            for i, fd in enumerate(self.RULES[:3])
         )
         parts = [
             dist("x", 1, "t.d0 OR t.d1 OR t.d2", union),
@@ -275,7 +273,7 @@ class TestValueKeyedTables:
 
     def test_rules_added_later_give_the_same_cells(self, spark):
         pdf = self._pdf(4)
-        fds = [fd for fd, _w in self.RULES]
+        fds = self.RULES
         up_front = DaisySession(
             spark, {"t": prob.spark_with_tid(spark, pdf)}, {"t": fds}, use_cost_model=False
         )
