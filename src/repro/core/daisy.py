@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
 
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
@@ -33,7 +32,7 @@ from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.cost import CostModel, QueryCost
 from repro.core.planner import Filter, PlanOp, Query, build_plan
 from repro.core.prob import TID, base_attrs, checked_col, ensure_cands, ensure_checked
-from repro.core.repair_dc import FIX_COLS, REPAIRED, dc_fixes
+from repro.core.repair_dc import REPAIRED, dc_fixes, fix_rows
 from repro.core.sqltext import ident
 from repro.core.thetajoin import ThetaJoinCleaner
 
@@ -49,7 +48,10 @@ class QueryRecord:
     number of matrix row buckets a DC op keeps in scope
     (:meth:`repro.core.thetajoin.ThetaJoinCleaner.buckets_for`), every
     bucket when its filters fall back to the whole matrix; like
-    ``dc_mode``, the query's last DC op sets it.
+    ``dc_mode``, the query's last DC op sets it.  ``dc_mode`` and
+    ``dc_accuracy`` are the Alg. 2 gate's, which runs only while the DC's
+    matrix has unchecked pairs: a query on a fully checked matrix leaves
+    them None.
     """
 
     seconds: float
@@ -83,7 +85,6 @@ class DaisySession:
         self.use_cost_model = use_cost_model
         self.accuracy_threshold = accuracy_threshold
         self.tables: dict[str, DataFrame] = {}
-        self.dc_rules: dict[str, list[DC]] = {}
         self.rule_tables: dict[str, repair.RuleTables] = {}
         self.theta: dict[tuple[str, str], ThetaJoinCleaner] = {}
         self.cost: dict[str, CostModel] = {}
@@ -91,8 +92,6 @@ class DaisySession:
         #: per table and FD, the rows of violating groups no query has
         #: repaired yet (``dirty_group_summary``'s tuple count at first)
         self.unrepaired: dict[str, dict[str, int]] = {}
-        self.dc_repairs: dict[str, DataFrame] = {}
-        self._dc_state: dict[tuple[str, str], DataFrame] = {}
         self.records: list[QueryRecord] = []
         self.switched_at: int | None = None
         self._dc_partitions = dc_partitions
@@ -101,7 +100,6 @@ class DaisySession:
             if TID not in df.columns:
                 raise ValueError(f"table {name} needs a {TID} column (prob.spark_with_tid)")
             self.tables[name] = df
-            self.dc_rules[name] = []
             self.rule_tables[name] = repair.RuleTables()
             self.unrepaired[name] = {}
             self.add_rules(name, rules.get(name, []))
@@ -110,6 +108,24 @@ class DaisySession:
     def fd_rules(self) -> dict[str, list[FD]]:
         """Per table, its FDs in registration order (``RuleTables.fds``)."""
         return {t: rt.fds for t, rt in self.rule_tables.items()}
+
+    @property
+    def dc_rules(self) -> dict[str, list[DC]]:
+        """Per table, its DCs in registration order (one cleaner each in ``theta``)."""
+        return {t: [th.dc for (tt, _), th in self.theta.items() if tt == t] for t in self.tables}
+
+    @property
+    def dc_repairs(self) -> dict[str, DataFrame]:
+        """Per table whose theta-join cleaners hold fixes, their fix rows.
+
+        The ``FIX_COLS`` union of the cleaners' fix states
+        (:func:`repro.core.repair_dc.fix_rows`); building it runs no job.
+        """
+        rows = {
+            t: fix_rows(th.state for (tt, _), th in self.theta.items() if tt == t)
+            for t in self.tables
+        }
+        return {t: r for t, r in rows.items() if r is not None}
 
     # ------------------------------------------------------------------ #
     def add_rules(self, table: str, new_rules: list[Rule]) -> None:
@@ -134,7 +150,6 @@ class DaisySession:
                 df = ensure_cands(df, r.cand_attrs)
                 df = ensure_checked(df, [r.name])
             else:
-                self.dc_rules[table].append(r)
                 self.theta[(table, r.name)] = ThetaJoinCleaner(
                     df, r, partitions=self._dc_partitions
                 )
@@ -215,7 +230,7 @@ class DaisySession:
                 answer = st.answer
             for o in side:
                 if o.op == "clean_dc":
-                    answer = self._clean_dc(t, self.theta[(t, o.rule)].dc, filters, answer, rec)
+                    answer = self._clean_dc(t, self.theta[(t, o.rule)], filters, answer, rec)
             rec.answer += answer or 0
             rec.extras += st.extras
             rec.repaired += st.repaired
@@ -269,59 +284,50 @@ class DaisySession:
 
     # ------------------------------------------------------------------ #
     def _clean_dc(
-        self, table: str, dc: DC, filters: list[Filter], answer: int | None, rec: QueryRecord
+        self, table: str, theta: ThetaJoinCleaner, filters: list[Filter],
+        answer: int | None, rec: QueryRecord,
     ) -> int | None:
         """Incremental theta-join cleaning with the Alg. 2 accuracy gate.
 
-        ``filters`` are the query's filters on ``table``; they give the
-        matrix buckets in scope
+        ``theta`` is the cleaner of one DC on ``table``, the owner of its
+        checked pairs and fix state.  ``filters`` are the query's filters
+        on ``table``; they give the matrix buckets in scope
         (:meth:`repro.core.thetajoin.ThetaJoinCleaner.buckets_for`).
         ``answer`` is the size of their result if the input's FD clean
-        counted it, else None.  The gate's accuracy is |qa| / (|qa| + E),
-        with E the estimate outside the buckets in scope; with E = 0 it is
-        1 for any |qa|, so the answer is counted (in one task) only when
-        E > 0.  Returns ``answer``, counted if the gate counted it.
+        counted it, else None.  Returns ``answer``, counted if the gate
+        counted it.
 
-        The state of each (table, DC) is one checkpointed frame of range
-        counts and the fix rows derived from them
-        (:func:`repro.core.repair_dc.dc_fixes`); each matrix pair is scanned
-        once, so no pair is counted twice.  A query that scans new pairs
-        adds their counts to the state in one job, which also observes the
-        distinct tids the pairs touch (``repaired``); ``dc_repairs[table]``
-        projects the fix rows of the table's states, which is what the
-        offline cleaner computes once the matrix is covered.  A query that
-        scans no new pair (a repeat, or any query after a ``full`` pass)
-        launches no job here and repairs nothing.
+        Once all ``nb²`` ordered pairs are checked, nothing is left to scan
+        and the DC is done: no gate, no count, no Spark job.  Otherwise the
+        gate picks partial or full cleaning of what is unchecked.  Its
+        accuracy is |qa| / (|qa| + E), with E the estimate outside the
+        buckets in scope; with E = 0 it is 1 for any |qa|, so the answer is
+        counted (in one task) only when E > 0.
+
+        Each matrix pair is scanned once, so no pair is counted twice.  A
+        query that scans new pairs folds their range counts into the
+        cleaner's state (:func:`repro.core.repair_dc.dc_fixes`) in one job,
+        which also observes the distinct tids the pairs touch
+        (``repaired``).  A query that scans no new pair (a repeat) launches
+        no job here and repairs nothing.
         """
-        theta = self.theta[(table, dc.name)]
         buckets = theta.buckets_for(filters)
         rec.dc_buckets = len(buckets)
+        if len(theta.checked) == theta.nb ** 2:
+            return answer
         if answer is None and theta.errors_outside(buckets):
             qa = operators.apply_filters(self.tables[table], filters)
             answer = qa.coalesce(1).selectExpr("count(*)").first()[0]
         acc, _support = theta.accuracy(buckets, max(1, answer or 0))
         rec.dc_accuracy = acc
+        full = acc < self.accuracy_threshold  # Fig 10's 20% case
+        rec.dc_mode = "full" if full else "partial"
         scanned = theta.pairs_scanned
-        if acc < self.accuracy_threshold:
-            viol = theta.detect(None)  # full cleaning (Fig 10's 20% case)
-            rec.dc_mode = "full"
-        else:
-            viol = theta.detect(buckets)
-            rec.dc_mode = "partial"
-        if theta.pairs_scanned == scanned:
-            # no matrix pair scanned, so no violation found; the lazy empty
-            # fixes keep a ``dc_repairs`` entry for every DC-queried table
-            if table not in self.dc_repairs:
-                self.dc_repairs[table] = dc_fixes(viol, dc).selectExpr(*FIX_COLS)
-            return answer
-        key = (table, dc.name)
-        obs = Observation()
-        state = dc_fixes(viol, dc, self._dc_state.get(key), obs)
-        self._dc_state[key] = state.localCheckpoint(eager=True)
-        self.dc_repairs[table] = reduce(DataFrame.unionByName, [
-            s.selectExpr(*FIX_COLS) for (t, _d), s in self._dc_state.items() if t == table
-        ])
-        rec.repaired += obs.get[REPAIRED]
+        viol = theta.detect(None if full else buckets)
+        if theta.pairs_scanned > scanned:
+            obs = Observation()
+            theta.state = dc_fixes(viol, theta.dc, theta.state, obs).localCheckpoint(eager=True)
+            rec.repaired += obs.get[REPAIRED]
         return answer
 
     # ------------------------------------------------------------------ #

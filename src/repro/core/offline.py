@@ -37,7 +37,7 @@ from pyspark.sql import functions as F
 from repro.core import detect, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.prob import TID, checked_col, ensure_cands, ensure_checked
-from repro.core.repair_dc import FIX_COLS, REPAIRED, dc_fixes
+from repro.core.repair_dc import REPAIRED, dc_fixes, fix_rows
 from repro.core.thetajoin import ThetaJoinCleaner
 
 
@@ -127,19 +127,18 @@ def offline_clean(
         else:
             raise ValueError(f"unknown mode {mode!r}")
 
-    dc_rep = None
+    states = []
     for dc in dcs:
         theta = ThetaJoinCleaner(out, dc, partitions=dc_partitions)
         obs = Observation()
-        fx = dc_fixes(theta.detect(None), dc, observation=obs).localCheckpoint(eager=True)
-        fx = fx.select(*FIX_COLS)
-        dc_rep = fx if dc_rep is None else dc_rep.unionByName(fx)
+        fixes = dc_fixes(theta.detect(None), dc, observation=obs)
+        states.append(fixes.localCheckpoint(eager=True))
         repaired += obs.get[REPAIRED]
     return OfflineResult(
         table=out,
         seconds=time.time() - t0,
         repaired=repaired,
         passes=max(1, passes),
-        dc_repairs=dc_rep,
+        dc_repairs=fix_rows(states),
         timed_out=timed_out,
     )

@@ -37,6 +37,7 @@ offline approach".
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -87,11 +88,19 @@ def build_tables(dataset: DataFrame, fds: list[FD], tables: RuleTables | None = 
     The rules ``tables`` does not know yet are appended to ``tables.fds``.
     Tables already in ``tables`` are kept (a rule added later — Table 7's
     arrival — only adds its own tables and the joint tables of the rule
-    sets it joins), so ``tables`` is extended and returned.
+    sets it joins), so ``tables`` is extended and returned.  A composite-lhs
+    rule gets only world 1 (its rhs varies; no lhs world is counted), and
+    registering one warns so.
     """
     tables = tables if tables is not None else RuleTables()
     for fd in fds:
         if fd.name not in tables.stats:
+            if not fd.single_lhs:
+                warnings.warn(
+                    f"FD {fd.name} has a composite lhs {fd.lhs}: its dirty cells get "
+                    "only world 1 (rhs candidates), no lhs-side world",
+                    UserWarning, stacklevel=2,
+                )
             tables.fds.append(fd)
             stats = detect.group_stats(dataset, fd).localCheckpoint(eager=True)
             tables.stats[fd.name] = stats

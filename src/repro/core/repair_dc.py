@@ -9,8 +9,8 @@ comparison, exactly as in Example 5 (``t2`` takes salary < 2000 *or* tax
 > 0.3, 50% each).
 
 Candidates are fix rows ``(tid, attr, lo, hi, p)`` (±inf for open sides);
-they are not merged into the table: the session keeps them in
-``DaisySession.dc_repairs`` and the offline cleaner in
+they are not merged into the table: :func:`fix_rows` projects them from
+the fix states for ``DaisySession.dc_repairs`` and
 ``OfflineResult.dc_repairs``.  A cell with multiple violating partners
 accumulates ranges, and the frequency-based probabilities are normalized
 over the number of fixes collected for the tuple.
@@ -29,6 +29,9 @@ one Spark job, and an optional ``Observation`` counts the distinct tuples
 the new pairs touch in that same job.
 """
 from __future__ import annotations
+
+from collections.abc import Iterable
+from functools import reduce
 
 from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
@@ -135,3 +138,14 @@ def dc_fixes(
     keep = "named_struct('lo', own, 'hi', own, 'count', 0L, 'p', (__t - __s) / __t)"
     opts = f"CASE WHEN __first AND __t > __s THEN array({rng}, {keep}) ELSE array({rng}) END"
     return counts.selectExpr("tid", "attr", "own", f"inline({opts})")
+
+
+def fix_rows(states: Iterable[DataFrame | None]) -> DataFrame | None:
+    """The ``FIX_COLS`` rows of the fix states given, in one union.
+
+    ``states`` are :func:`dc_fixes` outputs, one per DC; a ``None`` (a DC
+    with no pair scanned yet) adds nothing.  Returns None when every state
+    is None.  A projection and unions: building it runs no job.
+    """
+    rows = [s.selectExpr(*FIX_COLS) for s in states if s is not None]
+    return reduce(DataFrame.unionByName, rows) if rows else None

@@ -20,14 +20,17 @@ extreme is ``hi_c``/``lo_r`` for ``<``/``<=`` and ``lo_c``/``hi_r`` for
 Incrementality: a cleaner instance remembers the set of checked bucket
 pairs; a query only pays for the unchecked pairs its result touches
 (§4.2: "the matrix subset involves the query result and the unseen part
-of the dataset").  ``estimate`` is Algorithm 2's boundary-overlap
-estimator, computed once at construction; ``accuracy`` adds the support
-metric over diagonal partitions.
+of the dataset").  It also holds its DC's fix state, the range counts of
+every pair scanned so far (:func:`repro.core.repair_dc.dc_fixes`).
+``estimate`` is Algorithm 2's boundary-overlap estimator, computed once at
+construction; ``accuracy`` adds the support metric over diagonal
+partitions.
 """
 from __future__ import annotations
 
 import bisect
 import math
+from functools import reduce
 
 from pyspark.sql import DataFrame, GroupedData
 from pyspark.sql import functions as F
@@ -76,6 +79,9 @@ class ThetaJoinCleaner:
         self.estimate = self._estimate(one_task)
         self.checked: set[tuple[int, int]] = set()
         self.pairs_scanned = 0
+        #: the checkpointed fix state of the scanned pairs (``dc_fixes``'s
+        #: output); None until a pair is scanned
+        self.state: DataFrame | None = None
 
     # -- bucket helpers ----------------------------------------------------
     def _bucket_expr(self) -> str:
@@ -168,32 +174,24 @@ class ThetaJoinCleaner:
     def detect(self, bucket_rows: set[int] | None = None) -> DataFrame:
         """Violations for all unchecked feasible pairs touching ``bucket_rows``.
 
-        ``None`` means the full matrix (offline mode).  Only unordered pairs
-        are checked; both orientations are covered because (r, c) and (c, r)
-        are both generated when their row-bucket is in scope.
+        ``None`` means the full matrix (offline mode).  The ordered pairs
+        (r, c) and (c, r) are separate partitions (t1 in the first bucket,
+        t2 in the second); each ordered pair with a bucket in scope is
+        enumerated once, and checked from then on.
         """
         scope = set(range(self.nb)) if bucket_rows is None else set(bucket_rows)
-        todo: list[tuple[int, int]] = []
-        candidates: list[tuple[int, int]] = []
-        for r in scope:
-            for c in range(self.nb):
-                candidates.append((r, c))
-                candidates.append((c, r))  # both orientations touch the result
-        for pair in candidates:
-            if pair in self.checked:
-                continue
-            self.checked.add(pair)
-            if self.feasible(*pair):
-                todo.append(pair)
+        new = [
+            (r, c) for r in range(self.nb) for c in range(self.nb)
+            if (r in scope or c in scope) and (r, c) not in self.checked
+        ]
+        self.checked.update(new)
+        todo = [pair for pair in new if self.feasible(*pair)]
         self.pairs_scanned += len(todo)
         if not todo:
             return self.data.sparkSession.createDataFrame(
                 [], "tid1 long, x1 double, y1 double, tid2 long, x2 double, y2 double"
             )
-        out = None
-        for r, c in todo:
-            v = self._pair_violations(r, c)
-            out = v if out is None else out.unionByName(v)
+        out = reduce(DataFrame.unionByName, (self._pair_violations(*pair) for pair in todo))
         return out.localCheckpoint(eager=True)
 
     # -- Algorithm 2 -------------------------------------------------------

@@ -94,7 +94,7 @@ class TestNoNewPair:
         first, *rest = sess.records
         assert first.dc_mode == "full" and first.repaired > 0
         for rec in rest:
-            assert rec.dc_mode == "full" and rec.dc_accuracy is not None
+            assert rec.dc_mode is None and rec.dc_accuracy is None
             assert rec.repaired == 0
         pd.testing.assert_frame_equal(_rows(sess.dc_repairs["t"]), before)
         assert sess.theta[("t", PRICE_DC.name)].detect(None).count() == 0
@@ -109,7 +109,6 @@ class TestRepeatBuildsNoFixPlan:
             use_cost_model=False, dc_partitions=PARTITIONS,
         )
         q = _queries(dirty, 4)[0]
-        sess.execute(q).count()
         calls = []
 
         def counting(*args, **kwargs):
@@ -118,7 +117,9 @@ class TestRepeatBuildsNoFixPlan:
 
         monkeypatch.setattr(daisy, "dc_fixes", counting)
         sess.execute(q).count()
-        assert calls == [] and sess.records[-1].repaired == 0
+        assert len(calls) == 1
+        sess.execute(q).count()
+        assert len(calls) == 1 and sess.records[-1].repaired == 0
 
 
 def _violating_pairs(pdf: pd.DataFrame, dc: DC) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +151,8 @@ class TestTwoDCs:
         )
         for q in _queries(two, 4):
             sess.execute(q).count()
-        assert {r.dc_mode for r in sess.records} == {"partial"}
+        # the last query finds both matrices fully checked: no gate, no mode
+        assert [r.dc_mode for r in sess.records] == ["partial"] * 3 + [None]
         off = offline_clean(prob.spark_with_tid(spark, two), rules, dc_partitions=PARTITIONS)
         got, want = _rows(sess.dc_repairs["t"]), _rows(off.dc_repairs)
         assert want["attr"].nunique() == 3  # both DCs found pairs

@@ -80,6 +80,10 @@ DC_JOBS = {"dc": 3, "dc-repeat": 1}
 #: to scan and no bucket is outside its answer, so the Alg. 2 gate needs no
 #: count (1 while every DC input counted its answer)
 DC_DONE_JOBS = 0
+#: jobs of a DC query after a query that checked every matrix pair, with
+#: buckets outside its answer: the DC is done, so the Alg. 2 gate does not
+#: run (1 while the gate counted the answer to record its mode)
+DC_CHECKED_JOBS = 0
 #: jobs of building the theta-join cleaner of that DC table: quantiles,
 #: bucketed checkpoint, bucket bounds and the Alg. 2 estimate
 THETA_JOBS = 5
@@ -305,6 +309,21 @@ def test_dc_done_job_budget(spark):
     got, _cmds = _execute_counts(spark, sess, q, "job-budget-dc-done")
     assert sess.records[1].repaired == 0
     assert got <= DC_DONE_JOBS + SLACK, got
+
+
+def test_dc_checked_matrix_job_budget(spark):
+    sess = DaisySession(
+        spark, {"t": _dc_table(spark)}, {"t": [PRICE_DC]},
+        use_cost_model=False, dc_partitions=16,
+    )
+    # a filter off the bucketing attribute scans the whole matrix
+    sess.execute(Query("t", [Filter("discount", ">=", 0.0)])).count()
+    assert sess.records[0].dc_mode == "partial"
+    q = Query("t", [Filter("extendedprice", "between", 0.0, 800.0)])
+    got, _cmds = _execute_counts(spark, sess, q, "job-budget-dc-checked")
+    rec = sess.records[1]
+    assert rec.dc_mode is None and rec.dc_accuracy is None and rec.repaired == 0
+    assert got == DC_CHECKED_JOBS, got
 
 
 def test_dc_buckets_recorded(spark):

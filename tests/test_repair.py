@@ -1,6 +1,8 @@
 """Probabilistic repair tests: Table 2b/3 exactness, oracle-checked
 conditional probabilities, the Lemma 4 multi-rule merge, and the
 value-keyed candidate tables against a tuple-set oracle."""
+import warnings
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -291,3 +293,23 @@ class TestValueKeyedTables:
                 prob.cands_canonical(up_front.table("t"), a),
                 obj=a,
             )
+
+
+class TestCompositeLhsWarns:
+    """A composite-lhs FD gets only world 1, and registering it says so once."""
+
+    AQ = FD(("county_code", "state_code"), "county_name", name="aq")
+
+    def test_warns_once_naming_the_rule(self, spark):
+        pdf = pd.DataFrame({
+            "county_code": [1, 1, 1, 2],
+            "state_code": [6, 6, 6, 6],
+            "county_name": ["Alameda", "Alameda", "Alamda", "Alpine"],
+        })
+        df = prob.spark_with_tid(spark, pdf)
+        with pytest.warns(UserWarning, match="FD aq has a composite lhs"):
+            tables = repair.build_tables(df, [self.AQ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            repair.build_tables(df, [self.AQ], tables)  # already registered
+        assert [fd.name for fd in tables.fds] == ["aq"]
