@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core import detect, operators, repair, update
+from repro.core import operators, repair, update
 from repro.core.constraints import DC, FD, Rule, as_rules
 from repro.core.cost import CostModel, QueryCost
 from repro.core.planner import Filter, PlanOp, Query, build_plan
@@ -89,9 +89,6 @@ class DaisySession:
         self.theta: dict[tuple[str, str], ThetaJoinCleaner] = {}
         self.cost: dict[str, CostModel] = {}
         self.fully_cleaned: set[str] = set()
-        #: per table and FD, the rows of violating groups no query has
-        #: repaired yet (``dirty_group_summary``'s tuple count at first)
-        self.unrepaired: dict[str, dict[str, int]] = {}
         self.records: list[QueryRecord] = []
         self.switched_at: int | None = None
         self._dc_partitions = dc_partitions
@@ -101,13 +98,20 @@ class DaisySession:
                 raise ValueError(f"table {name} needs a {TID} column (prob.spark_with_tid)")
             self.tables[name] = df
             self.rule_tables[name] = repair.RuleTables()
-            self.unrepaired[name] = {}
             self.add_rules(name, rules.get(name, []))
 
     @property
     def fd_rules(self) -> dict[str, list[FD]]:
         """Per table, its FDs in registration order (``RuleTables.fds``)."""
         return {t: rt.fds for t, rt in self.rule_tables.items()}
+
+    @property
+    def unrepaired(self) -> dict[str, dict[str, int]]:
+        """Per table and FD, the rows of violating groups no query has repaired yet.
+
+        Read from ``RuleTables.unrepaired``.
+        """
+        return {t: rt.unrepaired for t, rt in self.rule_tables.items()}
 
     @property
     def dc_rules(self) -> dict[str, list[DC]]:
@@ -132,15 +136,16 @@ class DaisySession:
         """Register rules; precompute statistics (§6) and the cost model.
 
         The statistics pass also counts each FD's candidate distributions
-        (:func:`repro.core.repair.build_tables`).  Called again later, this
-        is Table 7's incremental rule arrival: only the new rule's tables
-        (and the joint tables of the rules sharing its rhs) are built,
-        detection for it runs over provenance values, and merging with
-        existing candidates happens at repair time.  A new FD's count of
-        unrepaired rows starts at its tuples in violating groups, and the
-        table is no longer fully cleaned.  The cost model's ε starts at the
-        table's unrepaired rows, so the rows queries already repaired are
-        not counted again.
+        and observes its summary (:func:`repro.core.repair.build_tables`).
+        Called again later, this is Table 7's incremental rule arrival: only
+        the new rule's tables and statistics (and the joint tables of the
+        rules sharing its rhs) are built, detection for it runs over
+        provenance values, and merging with existing candidates happens at
+        repair time.  A new FD's count of unrepaired rows starts at its
+        tuples in violating groups; a fully cleaned table stays so unless
+        that count is above 0, and its checked flags are set for the new
+        rules.  The cost model's ε starts at the table's unrepaired rows, so
+        the rows queries already repaired are not counted again.
         """
         df = self.tables[table]
         fds = []
@@ -155,25 +160,21 @@ class DaisySession:
                 )
         self.tables[table], row = update.checkpoint(df, F.expr("count(*) AS n"))
         tables = repair.build_tables(self.tables[table], fds, self.rule_tables[table])
-        # cost model over the union of FD rules of this table: ε and p come
-        # from the precomputed lhs and rhs group-bys (§5.2.3)
-        n = row["n"]
-        eps, groups, p = 0, 0, 0.0
-        for fd in tables.fds:
-            g, t, pp = detect.dirty_group_summary(tables.stats[fd.name])
-            eps += t
-            groups += g
-            p = max(p, pp, repair.lhs_per_rhs(tables, fd))
-            self.unrepaired[table].setdefault(fd.name, t)
-        avg_group = eps / groups if groups else 10.0
+        # cost model over the union of FD rules of this table: ε and p are
+        # the summaries of the lhs and rhs group-bys (§5.2.3)
+        summaries = tables.summary.values()
+        groups = sum(s.groups for s in summaries)
         self.cost[table] = CostModel(
-            n=n,
-            eps_total=sum(self.unrepaired[table].values()),
-            p=max(p, 1.0),
-            avg_group_size=avg_group,
+            n=row["n"],
+            eps_total=sum(tables.unrepaired.values()),
+            p=max([1.0, *(max(s.n_rhs, s.lhs_per_rhs) for s in summaries)]),
+            avg_group_size=sum(s.rows for s in summaries) / groups if groups else 10.0,
             safety=self._cost_safety,
         )
-        self.fully_cleaned.discard(table)
+        if table in self.fully_cleaned and not any(tables.unrepaired.values()):
+            self._mark_cleaned(table)
+        else:
+            self.fully_cleaned.discard(table)
 
     # ------------------------------------------------------------------ #
     def plan(self, q: Query) -> list[PlanOp]:
@@ -257,14 +258,15 @@ class DaisySession:
     def _count_repaired(self, table: str, violating: dict[str, int]) -> None:
         """Take a query's repaired violating-group rows off each FD's count.
 
-        ``violating`` is ``CleanStats.violating``.  A group is repaired
-        once: ``clean_σ`` repairs only groups none of whose rows is checked,
-        and sets the checked flag of the whole group.  So the counts are
+        The counts are ``RuleTables.unrepaired``; ``violating`` is
+        ``CleanStats.violating``.  A group is repaired once: ``clean_σ``
+        repairs only groups none of whose rows is checked, and sets the
+        checked flag of the whole group.  So the counts are
         exact, and when every FD of ``table`` is at 0, every dirty row holds
         the cells offline cleaning gives it and no ``clean_σ`` can change
         the table: it is fully cleaned (:meth:`_mark_cleaned`).
         """
-        left = self.unrepaired[table]
+        left = self.rule_tables[table].unrepaired
         for name, rows in violating.items():
             left[name] -= rows
         if not any(left.values()):
@@ -275,11 +277,11 @@ class DaisySession:
 
         The flags are a projection over the table, which runs no job.
         """
-        rules = self.fd_rules[table]
+        rt = self.rule_tables[table]
         self.tables[table] = self.tables[table].withColumns(
-            {checked_col(fd.name): F.lit(True) for fd in rules}
+            {checked_col(fd.name): F.lit(True) for fd in rt.fds}
         )
-        self.unrepaired[table] = {fd.name: 0 for fd in rules}
+        rt.unrepaired = dict.fromkeys(rt.unrepaired, 0)
         self.fully_cleaned.add(table)
 
     # ------------------------------------------------------------------ #

@@ -10,9 +10,10 @@ same fixed point as offline cleaning.
 statistics by pre-computing the size of the erroneous groups"): per lhs
 group its size, distinct-rhs count and rhs value counts.  It powers (a)
 pruning — skip detection for values outside the dirty list (Fig 9
-discussion), (b) the ε and p estimates of the §5.2.3 cost inequality,
-(c) the group-completeness check that scope-limited relaxation needs, and
-(d) the candidate tables of :mod:`repro.core.repair`.
+discussion), (b) the group-completeness check that scope-limited
+relaxation needs, and (c) the candidate tables of
+:mod:`repro.core.repair`, whose checkpoints also observe the ε and p of
+the §5.2.3 cost inequality (:class:`repro.core.repair.Summary`).
 """
 from __future__ import annotations
 
@@ -45,28 +46,6 @@ def group_stats(dataset: DataFrame, fd: FD) -> DataFrame:
         F.expr(f"count({rhs}) AS n_rhs"),
         F.expr(f"collect_list(named_struct('v', {rhs}, 'c', __c)) AS {RHS_COUNTS}"),
     )
-
-
-def dirty_group_summary(stats: DataFrame) -> tuple[int, int, float]:
-    """(#violating groups ε, #tuples in violating groups, avg candidates p).
-
-    ``stats`` is a :func:`group_stats` frame; its lhs columns are the ones
-    before ``group_size``.  A group with a null lhs component is left out:
-    detection and repair match groups with an equi-join on the lhs
-    (:func:`complete_groups`, :mod:`repro.core.repair`), where a null
-    matches nothing, so such a group is never repaired.
-    """
-    lhs = stats.columns[: stats.columns.index("group_size")]
-    row = (
-        stats.where(" AND ".join(["n_rhs > 1", *(f"{ident(a)} IS NOT NULL" for a in lhs)]))
-        .selectExpr(
-            "count(*) AS g",
-            "coalesce(sum(group_size), 0) AS t",
-            "coalesce(avg(n_rhs), 0.0D) AS p",
-        )
-        .first()
-    )
-    return int(row["g"]), int(row["t"]), float(row["p"])
 
 
 #: flag column of :func:`complete_groups`: the group is repaired now

@@ -41,10 +41,10 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
-from repro.core import detect
+from repro.core import detect, update
 from repro.core.constraints import FD
 from repro.core.detect import RHS_COUNTS
 from repro.core.prob import CAND_SUFFIX, TID, cand_type, cands_col, checked_col
@@ -53,15 +53,34 @@ from repro.core.sqltext import ident, num
 #: world id of the rhs-varies (lhs kept) world, shared/merged across rules
 RHS_WORLD = 1
 
-#: columns of a world-2 table: lhs value counts (``array<struct<v, c>>``,
-#: single-lhs rules), distinct non-null lhs values, and whether the rhs
-#: value occurs in a violating group
-LHS_COUNTS, N_LHS, IN_VIOLATING = "lhs_counts", "n_lhs", "in_violating"
+#: column of a world-2 table: lhs value counts (``array<struct<v, c>>``,
+#: single-lhs rules)
+LHS_COUNTS = "lhs_counts"
 
 
 def lhs_world(rule_index: int) -> int:
     """World id of the lhs-varies world of the rule at ``rule_index`` in ``RuleTables.fds``."""
     return 2 + rule_index
+
+
+@dataclass(frozen=True)
+class Summary:
+    """A rule's violating groups at registration (the §6 statistics).
+
+    ``groups``: the violating groups whose lhs has no null component (a
+    null matches nothing in the equi-joins on the lhs of detection and
+    repair, so no query repairs such a group); ``rows``: their rows;
+    ``n_rhs``: their mean distinct rhs values; ``lhs_per_rhs``: the mean
+    distinct non-null lhs values per rhs value, over every rhs value.  The
+    last two are §5.2.3's p of the rhs and the lhs side: when the rhs has
+    low selectivity, each rhs value co-occurs with many lhs values and the
+    lhs-side candidate domain explodes (Figs 6-7 discussion).
+    """
+
+    groups: int
+    rows: int
+    n_rhs: float
+    lhs_per_rhs: float
 
 
 @dataclass
@@ -71,15 +90,23 @@ class RuleTables:
     ``fds``: the rules in registration order; a rule's position gives its
     lhs world (:func:`lhs_world`);
     ``stats``: per rule, :func:`repro.core.detect.group_stats` (world 1);
-    ``world2``: per rule, one row per rhs value (:func:`_by_rhs`);
+    ``world2``: per rule, one row per rhs value of a violating group
+    (:func:`_by_rhs`);
     ``joint``: per set of ≥2 rules sharing an rhs, one row per combination
     of their lhs values with its rhs value counts.  All are checkpointed.
+    ``summary``: per rule, its :class:`Summary`, observed on the
+    checkpoints of its ``stats`` and ``world2``;
+    ``unrepaired``: per rule, the rows of its violating groups no query
+    has repaired yet (``summary.rows`` at registration; the session takes
+    each query's repaired rows off).
     """
 
     fds: list[FD] = field(default_factory=list)
     stats: dict[str, DataFrame] = field(default_factory=dict)
     world2: dict[str, DataFrame] = field(default_factory=dict)
     joint: dict[frozenset[str], DataFrame] = field(default_factory=dict)
+    summary: dict[str, Summary] = field(default_factory=dict)
+    unrepaired: dict[str, int] = field(default_factory=dict)
 
 
 def build_tables(dataset: DataFrame, fds: list[FD], tables: RuleTables | None = None) -> RuleTables:
@@ -88,9 +115,10 @@ def build_tables(dataset: DataFrame, fds: list[FD], tables: RuleTables | None = 
     The rules ``tables`` does not know yet are appended to ``tables.fds``.
     Tables already in ``tables`` are kept (a rule added later — Table 7's
     arrival — only adds its own tables and the joint tables of the rule
-    sets it joins), so ``tables`` is extended and returned.  A composite-lhs
-    rule gets only world 1 (its rhs varies; no lhs world is counted), and
-    registering one warns so.
+    sets it joins), so ``tables`` is extended and returned.  A new rule's
+    :class:`Summary` is observed on the checkpoints of its tables, so it
+    costs no job of its own.  A composite-lhs rule gets only world 1 (its
+    rhs varies; no lhs world is counted), and registering one warns so.
     """
     tables = tables if tables is not None else RuleTables()
     for fd in fds:
@@ -102,9 +130,16 @@ def build_tables(dataset: DataFrame, fds: list[FD], tables: RuleTables | None = 
                     UserWarning, stacklevel=2,
                 )
             tables.fds.append(fd)
-            stats = detect.group_stats(dataset, fd).localCheckpoint(eager=True)
-            tables.stats[fd.name] = stats
-            tables.world2[fd.name] = _by_rhs(stats, fd).localCheckpoint(eager=True)
+            dirty = " AND ".join(["n_rhs > 1", *(f"{ident(a)} IS NOT NULL" for a in fd.lhs)])
+            tables.stats[fd.name], by_lhs = update.checkpoint(
+                detect.group_stats(dataset, fd),
+                F.expr(f"count_if({dirty}) AS groups"),
+                F.expr(f"coalesce(sum(CASE WHEN {dirty} THEN group_size END), 0) AS rows"),
+                F.expr(f"coalesce(avg(CASE WHEN {dirty} THEN n_rhs END), 0.0D) AS n_rhs"),
+            )
+            tables.world2[fd.name], by_rhs = _by_rhs(tables.stats[fd.name], fd)
+            tables.summary[fd.name] = Summary(**by_lhs, **by_rhs)
+            tables.unrepaired[fd.name] = by_lhs["rows"]
     for group in _by_rhs_attr(tables.fds).values():
         for subset in _subsets(group):
             key = frozenset(fd.name for fd in subset)
@@ -113,35 +148,25 @@ def build_tables(dataset: DataFrame, fds: list[FD], tables: RuleTables | None = 
     return tables
 
 
-def lhs_per_rhs(tables: RuleTables, fd: FD) -> float:
-    """Avg distinct lhs values per rhs value (§5.2.3's p via the rhs group-by).
+def _by_rhs(stats: DataFrame, fd: FD) -> tuple[DataFrame, dict]:
+    """World 2 of ``fd``, checkpointed: per rhs value, its lhs value counts.
 
-    This is the size of the *lhs-side* candidate domain an erroneous cell
-    acquires (world 2): when the rhs has low selectivity, each rhs value
-    co-occurs with many lhs values and p explodes (Figs 6-7 discussion).
-    Read from the world-2 table, which has a row for every rhs value.
-    """
-    row = tables.world2[fd.name].selectExpr(f"avg({N_LHS})").first()
-    return float(row[0] or 0.0)
-
-
-def _by_rhs(stats: DataFrame, fd: FD) -> DataFrame:
-    """World 2 of ``fd``: per rhs value, its lhs value counts.
-
-    Regroups the (lhs, rhs) counts of ``stats`` by rhs value.  Every rhs
-    value gets a row (its ``N_LHS`` feeds the cost model); repair looks up
-    the rows ``IN_VIOLATING``.  Only a single-lhs rule has ``LHS_COUNTS``.
+    Regroups the (lhs, rhs) counts of ``stats`` by rhs value.  The mean
+    distinct non-null lhs values per rhs value (``lhs_per_rhs``) is
+    observed over every rhs value on the checkpoint's job, which then keeps
+    only the rhs values of violating groups, the ones repair looks up.
+    Only a single-lhs rule has ``LHS_COUNTS``.
     """
     pairs = stats.selectExpr(*map(ident, fd.lhs), "n_rhs", f"explode({RHS_COUNTS}) AS __e")
     present = " AND ".join(f"{ident(a)} IS NOT NULL" for a in fd.lhs)
-    aggs = [
-        F.expr(f"count_if({present}) AS {N_LHS}"),
-        F.expr(f"bool_or(n_rhs > 1) AS {IN_VIOLATING}"),
-    ]
+    aggs = [F.expr(f"count_if({present}) AS __n_lhs"), F.expr("bool_or(n_rhs > 1) AS __dirty")]
     if fd.single_lhs:
         entry = f"named_struct('v', {ident(fd.lhs[0])}, 'c', __e.c)"
         aggs.append(F.expr(f"collect_list({entry}) AS {LHS_COUNTS}"))
-    return pairs.groupBy(F.expr(f"__e.v AS {ident(fd.rhs)}")).agg(*aggs)
+    rhs = pairs.groupBy(F.expr(f"__e.v AS {ident(fd.rhs)}")).agg(*aggs)
+    obs = Observation()
+    rhs = rhs.observe(obs, F.expr("coalesce(avg(__n_lhs), 0.0D) AS lhs_per_rhs"))
+    return rhs.where("__dirty").drop("__n_lhs", "__dirty").localCheckpoint(eager=True), obs.get
 
 
 def _joint(dataset: DataFrame, fds: list[FD], tables: RuleTables) -> DataFrame:
@@ -207,7 +232,7 @@ def compute_repairs(rows: DataFrame, tables: RuleTables) -> DataFrame:
         counts[frozenset([fd.name])] = a
         if fd.single_lhs:
             world2 = tables.world2[fd.name]
-            lookup = world2.where(IN_VIOLATING).selectExpr(ident(fd.rhs), f"{LHS_COUNTS} AS {b}")
+            lookup = world2.selectExpr(ident(fd.rhs), f"{LHS_COUNTS} AS {b}")
             out = out.join(F.broadcast(lookup), fd.rhs, "left")
             lhs_counts[fd.name] = f"coalesce({b}, {_empty(world2, LHS_COUNTS)})"
     joints = [(k, t) for k, t in tables.joint.items() if k <= set(dirty)]

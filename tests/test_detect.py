@@ -36,22 +36,35 @@ class TestGroupStats:
         row = st[(st["a"] == 1) & (st["b"] == 2)].iloc[0]
         assert row["group_size"] == 2 and row["n_rhs"] == 2
 
+    # the dirty-group summary is observed on the checkpoints of the rule's
+    # tables when it is registered (repair.build_tables)
     def test_dirty_group_summary(self, spark, cities, phi1):
-        st = detect.group_stats(cities, phi1)
-        g, t, p = detect.dirty_group_summary(st)
-        assert g == 2 and t == 5 and p == 2.0  # both zip groups violate
+        s = repair.build_tables(cities, [phi1]).summary[phi1.name]
+        assert (s.groups, s.rows, s.n_rhs) == (2, 5, 2.0)  # both zip groups violate
+        # LA and NY occur with one zip each, San Francisco with two
+        assert s.lhs_per_rhs == pytest.approx(4 / 3)
 
     def test_dirty_group_summary_clean(self, spark):
         d = prob.spark_with_tid(spark, pd.DataFrame({"a": [1, 1], "b": ["x", "x"]}))
-        g, t, p = detect.dirty_group_summary(detect.group_stats(d, FD(("a",), "b")))
-        assert (g, t, p) == (0, 0, 0.0)
+        fd = FD(("a",), "b", name="ab")
+        tables = repair.build_tables(d, [fd])
+        s = tables.summary[fd.name]
+        assert (s.groups, s.rows, s.n_rhs, s.lhs_per_rhs) == (0, 0, 0.0, 1.0)
+        assert tables.unrepaired == {fd.name: 0}
+        assert tables.world2[fd.name].count() == 0  # no rhs value of a violating group
 
     def test_dirty_group_summary_skips_null_lhs(self, spark):
         # the null-lhs group violates too, but no equi-join on the lhs meets it
         pdf = pd.DataFrame({"a": ["1", "1", None, None, "2"], "b": [1, 2, 3, 4, 5]})
         d = prob.spark_with_tid(spark, pdf)
-        g, t, p = detect.dirty_group_summary(detect.group_stats(d, FD(("a",), "b")))
-        assert (g, t, p) == (1, 2, 2.0)
+        fd = FD(("a",), "b", name="ab")
+        tables = repair.build_tables(d, [fd])
+        s = tables.summary[fd.name]
+        assert (s.groups, s.rows, s.n_rhs) == (1, 2, 2.0)
+        assert tables.unrepaired == {fd.name: 2}
+        # the mean is over every rhs value; world 2 keeps those of violating groups
+        assert s.lhs_per_rhs == pytest.approx(3 / 5)
+        assert sorted(r["b"] for r in tables.world2[fd.name].collect()) == [1, 2, 3, 4]
 
 
 class TestViolatingGroups:

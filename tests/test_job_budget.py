@@ -70,8 +70,15 @@ ANSWER_ONLY_JOBS = 2
 #: checkpoint counts its rows
 OFFLINE_JOBS = 11
 #: jobs of building a session over that table under φ: its checkpoint
-#: counts the rows, then the statistics and candidate tables
-INIT_JOBS = 10
+#: counts the rows, then the statistics and candidate tables, whose
+#: checkpoints also observe the rule's ε and p (10 while the session read
+#: each FD's dirty-group summary and lhs values per rhs value in 4 more jobs)
+INIT_JOBS = 6
+#: jobs of adding ``custkey → suppkey`` to that session (Table 7's rule
+#: arrival): the table's checkpoint, then the new rule's statistics, world-2
+#: and joint tables; φ's tables and summary are not read again (19 while
+#: every registered FD's summary was recounted in 4 jobs)
+ADD_RULE_JOBS = 11
 #: jobs of a DC range query (answer count, detection, and the fix state's
 #: checkpoint, which also counts the repaired tids), then of the same query
 #: again, which scans no new matrix pair and only counts its answer
@@ -179,6 +186,18 @@ def test_session_init_job_budget(spark, ssb_small, monkeypatch):
     )))
     assert made[0].cost["lineorder"].n == len(dirty)
     assert got <= INIT_JOBS + SLACK, got
+
+
+def test_add_rule_job_budget(spark, ssb_small):
+    _, dirty, _ = ssb_small
+    sess = DaisySession(
+        spark, {"lineorder": prob.spark_with_tid(spark, dirty)}, {"lineorder": [PHI]},
+        use_cost_model=False,
+    )
+    chi = FD(("custkey",), "suppkey", name="chi")
+    got, _cmds = _counts(spark, "job-budget-add-rule", lambda: sess.add_rules("lineorder", [chi]))
+    assert set(sess.rule_tables["lineorder"].joint) == {frozenset({PHI.name, chi.name})}
+    assert got <= ADD_RULE_JOBS + SLACK, got
 
 
 def test_join_job_budget(spark, ssb_small):

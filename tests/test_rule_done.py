@@ -2,7 +2,7 @@
 
 A violating group is repaired once, by the query whose region first holds
 all of its rows unchecked, so the session's count of unrepaired rows per
-FD (``DaisySession.unrepaired``, from ``detect.dirty_group_summary``) is
+FD (``DaisySession.unrepaired``, a view of ``repair.RuleTables``) is
 exact.  When every FD of a table is at 0 the table is fully cleaned: the
 plan places its FD ops ``before`` and its queries are answer-only.  The
 answers must stay those of ``offline_clean`` + ``run_query``.
@@ -11,8 +11,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import detect, prob
-from repro.core.constraints import FD
+from repro.core import prob
+from repro.core.constraints import DC, FD, Atom
 from repro.core.daisy import DaisySession
 from repro.core.offline import offline_clean
 from repro.core.operators import run_query
@@ -28,8 +28,10 @@ def _tids(df):
     return sorted(r[0] for r in df.select(TID).collect())
 
 
-def _rows_in_violating_groups(sess, table, fd):
-    return detect.dirty_group_summary(sess.rule_tables[table].stats[fd.name])[1]
+def _rows_in_violating_groups(pdf, fd):
+    """Rows of ``pdf`` in a group of ``fd`` with two or more rhs values (null lhs left out)."""
+    n_rhs = pdf.groupby(list(fd.lhs))[fd.rhs].transform("nunique")
+    return int((n_rhs > 1).sum())
 
 
 class TestOneRule:
@@ -59,9 +61,9 @@ class TestOneRule:
             ))
         return sess, steps
 
-    def test_marked_when_the_repaired_total_reaches_the_dirty_rows(self, run):
+    def test_marked_when_the_repaired_total_reaches_the_dirty_rows(self, run, ssb_small):
         sess, steps = run
-        total = _rows_in_violating_groups(sess, LO, PHI)
+        total = _rows_in_violating_groups(ssb_small[1], PHI)
         repaired = 0
         for rec, (marked, unrepaired, *_rest) in zip(sess.records, steps):
             repaired += rec.repaired
@@ -129,9 +131,29 @@ class TestAddRulesAfterTheExit:
         sess.add_rules(LO, [CHI])
         assert LO not in sess.fully_cleaned
         assert sess.unrepaired[LO] == {
-            PHI.name: 0, CHI.name: _rows_in_violating_groups(sess, LO, CHI)
+            PHI.name: 0, CHI.name: _rows_in_violating_groups(dirty, CHI)
         }
         assert sess.unrepaired[LO][CHI.name] > 0
         q = Query(LO, [Filter("suppkey", "=", 9)])
         sess.execute(q).count()
         assert sess.records[-1].strategy == "incremental"
+
+    @pytest.mark.parametrize("rules", [
+        [DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="price")],
+        [PHI],  # already registered
+        [FD(("revenue",), "quantity", name="revenue")],  # no violating group
+    ], ids=["dc", "registered-fd", "clean-fd"])
+    def test_rule_with_nothing_to_repair_keeps_the_mark(self, spark, ssb_small, rules):
+        _, dirty, _ = ssb_small
+        sess = DaisySession(
+            spark, {LO: prob.spark_with_tid(spark, dirty)}, {LO: [PHI]}, use_cost_model=False
+        )
+        sess.full_clean(LO)
+        sess.add_rules(LO, rules)
+        assert LO in sess.fully_cleaned
+        assert set(sess.unrepaired[LO].values()) == {0}
+        t = sess.table(LO)
+        for fd in sess.fd_rules[LO]:
+            assert t.where(~F.col(checked_col(fd.name))).count() == 0
+        sess.execute(Query(LO)).count()
+        assert sess.records[-1].strategy == "clean"
