@@ -138,19 +138,24 @@ def main() -> None:
     fig_notes = {
         "fig5": "Offline per-group runs at B=5 (paper's baseline is B=1 — one "
                 "pass per erroneous group — which would be several times "
-                "slower still); Daisy wins at every cardinality and both "
-                "systems grow with the number of groups.",
+                "slower still); Daisy wins at every cardinality (4-8×); "
+                "offline grows with the number of groups, Daisy much less. "
+                "The committed Fig 5, "
+                "7, 9, 11 and 12 runs are of the commit after 4b3f338 (group "
+                "completeness from relaxation's last lhs set), each in a "
+                "fresh JVM after the untimed warm-up.",
         "fig7": "Not reproduced: the cost model never switches at this scale "
                 "(`switched_at` is null), so the cost-model run does the same "
-                "work as the incremental one. Daisy (either mode) still beats "
-                "offline ~3×. Fig 12 shows the switch firing, but after "
-                "query 1 rather than mid-workload.",
+                "work as the incremental one; it runs second in the same JVM, "
+                "so its lower time is not a switch's doing. Daisy (either mode) beats "
+                "offline ~9-15×, so the paper's offline < incremental "
+                "ordering does not hold here. Fig 12 shows the switch firing, "
+                "but after query 1 rather than mid-workload.",
         "fig9": "Offline passes grow with the violation fraction (the paper's "
                 "mechanism: iterations ∝ #erroneous groups) while Daisy's "
                 "cost is flat in it; endpoints of the paper's 20-80% sweep. "
-                "Unlike the paper, Daisy is slower than offline at both "
-                "endpoints; only the gap closing as violations grow carries "
-                "over.",
+                "As in the paper, Daisy is faster at both endpoints and the "
+                "gap grows with the violations (2× at 20%, 8× at 80%).",
         "fig10": "The Alg. 2 accuracy gate decides partial cleaning for the "
                  "0.2%/2% versions and full cleaning for the 20% outlier "
                  "version, as in the paper. A query that finds the DC's "

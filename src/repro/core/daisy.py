@@ -66,7 +66,15 @@ class QueryRecord:
 
 
 class DaisySession:
-    """Query-driven incremental cleaning over Spark DataFrames."""
+    """Query-driven incremental cleaning over Spark DataFrames.
+
+    ``rules`` maps table names to their rules.  Rules keyed by a name no
+    table has are not registered, so one rule map can serve sessions over
+    different sets of tables; but rules whose attributes are all columns of
+    a session table, keyed by a name no table has (say ``"T"`` for ``t``),
+    raise ``ValueError``, as does a ``relax_mode`` other than ``"lemma"``
+    (the Lemma budgets) or ``"closure"`` (the fixpoint).
+    """
 
     def __init__(
         self,
@@ -80,6 +88,15 @@ class DaisySession:
         accuracy_threshold: float = 0.5,
         cost_safety: float = 1.0,
     ):
+        if relax_mode not in ("lemma", "closure"):
+            raise ValueError(f"relax_mode must be 'lemma' or 'closure', not {relax_mode!r}")
+        for name, rs in rules.items():
+            attrs = {a for r in rs for a in r.attrs}
+            fits = sorted(t for t, df in tables.items() if attrs <= set(df.columns))
+            if rs and name not in tables and fits:
+                raise ValueError(
+                    f"rules for unknown table {name!r}; their attributes are columns of {fits}"
+                )
         self.spark = spark
         self.relax_mode = relax_mode
         self.use_cost_model = use_cost_model
@@ -259,12 +276,13 @@ class DaisySession:
         """Take a query's repaired violating-group rows off each FD's count.
 
         The counts are ``RuleTables.unrepaired``; ``violating`` is
-        ``CleanStats.violating``.  A group is repaired once: ``clean_σ``
-        repairs only groups none of whose rows is checked, and sets the
-        checked flag of the whole group.  So the counts are
-        exact, and when every FD of ``table`` is at 0, every dirty row holds
-        the cells offline cleaning gives it and no ``clean_σ`` can change
-        the table: it is fully cleaned (:meth:`_mark_cleaned`).
+        ``CleanStats.violating``.  A row is repaired once per rule:
+        ``clean_σ`` repairs a row of a violating group only while it is
+        unchecked under the rule, and sets its checked flag in the same
+        update.  So the counts are exact, and when every FD of ``table``
+        is at 0, every dirty row holds the cells offline cleaning gives it
+        and no ``clean_σ`` can change the table: it is fully cleaned
+        (:meth:`_mark_cleaned`).
         """
         left = self.rule_tables[table].unrepaired
         for name, rows in violating.items():

@@ -10,8 +10,10 @@ same fixed point as offline cleaning.
 statistics by pre-computing the size of the erroneous groups"): per lhs
 group its size, distinct-rhs count and rhs value counts.  It powers (a)
 pruning — skip detection for values outside the dirty list (Fig 9
-discussion), (b) the group-completeness check that scope-limited
-relaxation needs, and (c) the candidate tables of
+discussion), (b) the violating-group lookup of ``clean_σ``'s detection
+(groups are whole in a relaxed region by construction,
+:func:`repro.core.relax.relax_fd`; :func:`complete_groups` checks it by
+count, for tests), and (c) the candidate tables of
 :mod:`repro.core.repair`, whose checkpoints also observe the ε and p of
 the §5.2.3 cost inequality (:class:`repro.core.repair.Summary`).
 """

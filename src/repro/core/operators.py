@@ -19,7 +19,7 @@ from functools import reduce
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core import detect, relax, repair, update
+from repro.core import relax, repair, update
 from repro.core.constraints import FD
 from repro.core.planner import Aggregate, Filter, Query, filter_side
 from repro.core.prob import CAND_SUFFIX, TID, cands_col, checked_col, prob_equijoin, qualifies
@@ -62,8 +62,13 @@ IN_ANSWER, DIRTY, CHANGED = "__in_answer", "__dirty", "__changed"
 
 
 def dirty_col(rule_name: str) -> str:
-    """Flag column of :func:`_detect`: the row's group under the rule is repaired now."""
+    """Flag column of :func:`_detect`: the row is repaired now under the rule."""
     return f"{DIRTY}__{rule_name}"
+
+
+def whole_col(rule_name: str) -> str:
+    """Flag column of the region: the row's group under the rule is whole in it."""
+    return f"__whole__{rule_name}"
 
 
 def clean_sigma(
@@ -89,55 +94,55 @@ def clean_sigma(
     predicate or any rule's relaxation predicate; with several rules the
     region takes in its rows' groups under all of them
     (:func:`relax.whole_groups`).  With no filter the answer is the whole
-    dataset, so it is the region and no relaxation round runs.  One
-    aggregate counts the region's rows, its answer rows and its rows
-    unchecked under any of ``fds``.  With no unchecked row the dataset is
-    returned as it is, before detection, and this exit is exact: a row is
-    ``CHANGED`` only if it is unchecked, and a group is repaired
-    (``VIOLATING``) only if all of its ``group_size ≥ 1`` rows are
-    unchecked, so detection would change nothing and repair nothing.  The
+    dataset, so it is the region, every group is whole in it and no
+    relaxation round runs.  Relaxation also gives, per rule, the rows whose
+    groups are whole in the region by construction (``whole``, the lhs
+    half of its last match): they are the rows the query checks under the
+    rule, and no count decides it.  One aggregate counts the region's rows,
+    its answer rows and its changed rows, whole and unchecked under some of
+    ``fds``.  With no changed row the dataset is returned as it is, before
+    detection, and this exit is exact: only a changed row is repaired.  The
     exit reads the region, not the answer: a checked answer can relax into
     unchecked groups.
 
-    Otherwise each phase is one pass: detection puts each rule's group
-    facts on the region rows as flags (one checkpoint, which also counts
-    them, per rule too: ``CleanStats.violating``), repair looks up the
-    dirty rows' cells, and the update is one broadcast join.  With no
-    repair and no newly checked group the dataset is returned as it is.
+    Otherwise each phase is one pass: detection puts each rule's flags on
+    the region rows (one checkpoint, which also counts the rows repaired
+    now, per rule too: ``CleanStats.violating``), repair looks up the
+    dirty rows' cells, and the update is one broadcast join.
     """
     st = CleanStats()
     in_answer = filter_predicate(dataset, filters)
-    relaxed = in_answer
+    relaxed, whole = in_answer, [F.lit(True)] * len(fds)
     if filters:
         answer = dataset.where(in_answer)
         max_iter = 0 if relax_mode == "closure" else None
-        for fd in fds:
-            side = filter_side(fd, filters)
-            pred, iters = relax.relax_fd(dataset, answer, fd, max_iter=max_iter, filter_side=side)
+        for i, fd in enumerate(fds):
+            pred, iters, whole[i] = relax.relax_fd(
+                dataset, answer, fd, max_iter=max_iter, filter_side=filter_side(fd, filters)
+            )
             st.relax_iters = max(st.relax_iters, iters)
             relaxed = relaxed | pred
         if len(fds) > 1:
-            relaxed = relax.whole_groups(dataset, relaxed, fds)
-    region = dataset.where(relaxed).withColumn(IN_ANSWER, in_answer)
+            relaxed, whole = relax.whole_groups(dataset, relaxed, fds)
+    region = dataset.where(relaxed).withColumns(
+        {IN_ANSWER: in_answer, **{whole_col(fd.name): w for fd, w in zip(fds, whole)}}
+    )
 
-    unchecked = " OR ".join(f"NOT {ident(checked_col(fd.name))}" for fd in fds)
     # one task over a filter of the checkpointed dataset: no shuffle stage
     row = region.coalesce(1).selectExpr(
         "count(*) AS region", f"count_if({IN_ANSWER}) AS {IN_ANSWER}",
-        f"count_if({unchecked}) AS unchecked",
+        f"count_if({_changed(fds)}) AS {CHANGED}",
     ).first()
     st.answer, st.extras = row[IN_ANSWER], row["region"] - row[IN_ANSWER]
-    if row["unchecked"] == 0:
+    if row[CHANGED] == 0:
         return dataset, st
 
-    flags = [DIRTY, CHANGED, *[dirty_col(fd.name) for fd in fds]]
+    flags = [DIRTY, *[dirty_col(fd.name) for fd in fds]]
     flagged, row = update.checkpoint(
         _detect(region, fds, tables.stats), *[F.expr(f"count_if({ident(c)}) AS {ident(c)}") for c in flags]
     )
     st.repaired = row[DIRTY]
     st.violating = {fd.name: row[dirty_col(fd.name)] for fd in fds}
-    if row[CHANGED] == 0:
-        return dataset, st
 
     keep = [TID, *[ident(checked_col(fd.name)) for fd in fds]]
     delta = flagged.where(f"{CHANGED} AND NOT {DIRTY}").selectExpr(*keep)
@@ -149,38 +154,40 @@ def clean_sigma(
     return update.apply_repairs(dataset, delta), st
 
 
-def _detect(region: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame]) -> DataFrame:
-    """``region`` with the flags of :func:`detect.complete_groups` on its rows.
+def _changed(fds: list[FD]) -> str:
+    """SQL text: the row's group is whole in the region and unchecked under one of ``fds``."""
+    return " OR ".join(
+        f"({ident(whole_col(fd.name))} AND NOT {ident(checked_col(fd.name))})" for fd in fds
+    )
 
-    Per rule, a row of a complete group gets its checked flag set, and a row
-    of a group to repair now is ``DIRTY`` (and :func:`dirty_col` of the
-    rule); ``CHANGED`` marks the rows whose flags the update must write.
-    The group frames are broadcast (at most one row per distinct lhs value
-    of the region).
+
+def _detect(region: DataFrame, fds: list[FD], stats_by_rule: dict[str, DataFrame]) -> DataFrame:
+    """``region`` with each rule's checked flag set on its whole groups, and the repair flags.
+
+    Groups are checked all at once, so a row's own checked flag is its
+    group's.  Per rule, a changed row (whole and unchecked) of a violating
+    group (``n_rhs > 1``) is :func:`dirty_col` of the rule, and ``DIRTY``
+    if it is so under some rule; ``CHANGED`` marks the rows whose flags the
+    update must write.  A rule's violating groups are a broadcast lookup
+    on its statistics (one row per group); a null lhs matches none.
     """
-    groups = [detect.complete_groups(region, fd, stats_by_rule[fd.name]) for fd in fds]
-    out = region.withColumns({DIRTY: F.lit(False), CHANGED: F.lit(False)})
-    cols = out.columns
-    for fd, g in zip(fds, groups):
-        cc = ident(checked_col(fd.name))
-        violating = f"coalesce({detect.VIOLATING}, false)"
-        flags = {
-            DIRTY: f"{DIRTY} OR {violating}",
-            dirty_col(fd.name): violating,
-            CHANGED: f"{CHANGED} OR (__hit IS NOT NULL AND NOT {cc})",
-            checked_col(fd.name): f"{cc} OR __hit IS NOT NULL",
-        }
-        joined = out.join(F.broadcast(g.selectExpr("*", "true AS __hit")), list(fd.lhs), "left")
-        # the join puts the lhs first; one projection sets the flags in
-        # their columns' places, appends the new rule's flag, and drops the
-        # group's columns
-        cols = [*fd.lhs, *[c for c in cols if c not in fd.lhs]]
-        if dirty_col(fd.name) not in cols:
-            cols.append(dirty_col(fd.name))
-        out = joined.selectExpr(
-            *[f"{flags[c]} AS {ident(c)}" if c in flags else ident(c) for c in cols]
-        )
-    return out
+    out, dirty = region, {}
+    for i, fd in enumerate(fds):
+        violating = stats_by_rule[fd.name].where("n_rhs > 1")
+        out = out.join(F.broadcast(violating.selectExpr(*map(ident, fd.lhs), f"true AS __v{i}")),
+                       list(fd.lhs), "left")
+        dirty[dirty_col(fd.name)] = f"{_changed([fd])} AND __v{i} IS NOT NULL"
+    flags = {
+        **{checked_col(fd.name): f"{ident(checked_col(fd.name))} OR {ident(whole_col(fd.name))}"
+           for fd in fds},
+        DIRTY: " OR ".join(f"({d})" for d in dirty.values()),
+        CHANGED: _changed(fds),
+        **dirty,
+    }
+    # the joins put the lhs first; one projection restores the region's
+    # column order, sets the flags and drops the lookups' columns
+    cols = [*region.columns, DIRTY, CHANGED, *dirty]
+    return out.selectExpr(*[f"{flags[c]} AS {ident(c)}" if c in flags else ident(c) for c in cols])
 
 
 def clean_join(

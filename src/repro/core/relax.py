@@ -79,19 +79,17 @@ def _collect(region: DataFrame, keyed: list[tuple[str, ...]]) -> tuple[int, list
     return row["n"], [row[f"s{i}"] for i in range(len(keys))]
 
 
-def _match(dataset: DataFrame, keyed: list[tuple[str, ...]], sets: list[str]) -> Column:
-    """Rows of ``dataset`` with a possible key of some ``keyed`` tuple in its set.
+def _match(dataset: DataFrame, attrs: tuple[str, ...], text: str) -> Column:
+    """Rows of ``dataset`` with a possible key of ``attrs`` in the set ``text``.
 
-    Each set is one array literal, folded once from its JSON text;
-    ``arrays_overlap`` hashes a row's few keys and scans the set.
+    The set is one array literal, folded once from its JSON text (a value
+    set of :func:`_collect`); ``arrays_overlap`` hashes a row's few keys
+    and scans the set.
     """
-    preds = []
-    for attrs, text in zip(keyed, sets):
-        fields = [dataset.schema[a] for a in attrs]
-        elem = fields[0].dataType if len(fields) == 1 else T.StructType(fields)
-        values = F.from_json(F.lit(text), T.ArrayType(elem))
-        preds.append(F.arrays_overlap(F.expr(_keys(dataset, attrs)), values))
-    return reduce(Column.__or__, preds)
+    fields = [dataset.schema[a] for a in attrs]
+    elem = fields[0].dataType if len(fields) == 1 else T.StructType(fields)
+    values = F.from_json(F.lit(text), T.ArrayType(elem))
+    return F.arrays_overlap(F.expr(_keys(dataset, attrs)), values)
 
 
 def relax_fd(
@@ -101,14 +99,18 @@ def relax_fd(
     *,
     max_iter: int | None = None,
     filter_side: str | None = None,
-) -> tuple[Column, int]:
-    """Run Algorithm 1; returns ``(region, iterations_used)``.
+) -> tuple[Column, int, Column]:
+    """Run Algorithm 1; returns ``(region, iterations_used, whole)``.
 
     ``max_iter=None`` selects the Lemma budget for ``filter_side`` ('lhs',
     'rhs' or None); ``max_iter=0`` means run to fixpoint (closure).
     ``region`` is a predicate over ``dataset``'s rows: the relaxed region,
     which holds every answer tuple with a value; the region's tuples
-    outside ``answer`` are Algorithm 1's extras.
+    outside ``answer`` are Algorithm 1's extras.  ``whole`` is the lhs
+    half of the last round's match: the rows with a possible lhs value in
+    the last lhs set (in closure, the fixpoint's).  A row's provenance
+    value is one of its possible values, so every group keyed in that set
+    is whole in the region.
 
     A Lemma budget of ``m`` rounds collects the value sets of regions
     ``0 .. m-1``.  Closure also counts each region's rows: region ``k``
@@ -123,17 +125,22 @@ def relax_fd(
     n, sets = _collect(answer, keyed)
     iters = 0
     while True:
-        region = _match(dataset, keyed, sets)
+        whole = _match(dataset, fd.lhs, sets[0])
+        region = whole | _match(dataset, (fd.rhs,), sets[1])
         if not closure and iters + 1 == max_iter:
-            return region, max_iter
+            return region, max_iter, whole
         m, sets = _collect(dataset.where(region), keyed)
         if closure and m == n:
-            return region, iters  # the empty round is termination detection, not work
+            return region, iters, whole  # the empty round is termination detection, not work
         n, iters = m, iters + 1
 
 
-def whole_groups(dataset: DataFrame, region: Column, fds: list[FD]) -> Column:
+def whole_groups(dataset: DataFrame, region: Column, fds: list[FD]) -> tuple[Column, list[Column]]:
     """``region`` grown by every lhs group of its rows under each of ``fds``.
+
+    Returns ``(region, whole)``, ``whole`` one predicate per rule of
+    ``fds``: the rows with a possible lhs value in the region's lhs set of
+    that rule.  Every group keyed in that set is whole in the grown region.
 
     Each rule's rounds complete that rule's groups only, but a region row
     can join the answer through one rule's candidates; without its groups
@@ -144,4 +151,5 @@ def whole_groups(dataset: DataFrame, region: Column, fds: list[FD]) -> Column:
     """
     keyed = [fd.lhs for fd in fds]
     _n, sets = _collect(dataset.where(region), keyed)
-    return region | _match(dataset, keyed, sets)
+    whole = [_match(dataset, attrs, text) for attrs, text in zip(keyed, sets)]
+    return reduce(Column.__or__, whole, region), whole

@@ -346,6 +346,64 @@ class TestCheckedAnswerRelaxesIntoUncheckedGroups:
         assert [r.repaired for r in sess.records] == [2, 2]
 
 
+class TestGroupPulledInByRhsIsDeferred:
+    """A group in the region only through rhs matches waits for its lhs.
+
+    Its lhs is not in the last relaxation round's lhs set, so its rows are
+    not whole there: a later query that matches its lhs repairs it.
+    """
+
+    def test_answers_and_cells_match_offline(self, spark):
+        from repro.core import operators
+
+        ks = FD(("k",), "s", name="ks")
+        # groups k=1: (1,a,yes), (1,b), (1,c) and k=9: (9,b), (9,c)
+        pdf = pd.DataFrame({"k": [1, 1, 1, 9, 9], "s": list("abcbc"), "t": ["yes"] + ["no"] * 4})
+        sess = DaisySession(
+            spark, {"r": prob.spark_with_tid(spark, pdf)}, {"r": [ks]}, use_cost_model=False
+        )
+        off = offline_clean(prob.spark_with_tid(spark, pdf), [ks], mode="vectorized").table
+        for f in (Filter("t", "=", "yes"), Filter("k", "=", 9)):
+            q = Query("r", [f])
+            got = sess.execute(q)
+            exp = operators.run_query({"r": off}, q)
+            tids = sorted(r[TID] for r in got.select(TID).collect())
+            assert tids == sorted(r[TID] for r in exp.select(TID).collect())
+            for attr in ("k", "s"):
+                pd.testing.assert_frame_equal(
+                    prob.cands_canonical(got, attr), prob.cands_canonical(exp, attr)
+                )
+        # the first region holds every row, but group 9 only by its rhs values
+        assert [(r.answer + r.extras, r.repaired) for r in sess.records] == [(5, 3), (5, 2)]
+        assert "r" in sess.fully_cleaned
+        for attr in ("k", "s"):
+            pd.testing.assert_frame_equal(
+                prob.cands_canonical(sess.table("r"), attr), prob.cands_canonical(off, attr)
+            )
+
+
+class TestConstructionChecks:
+    """Session inputs the code cannot use fail at construction."""
+
+    def test_rules_for_an_unknown_table(self, spark, small_session_inputs):
+        with pytest.raises(ValueError, match="'LINEORDER'"):
+            DaisySession(spark, {"lineorder": small_session_inputs}, {"LINEORDER": [PHI]})
+
+    def test_rules_of_an_absent_table_are_not_registered(self, spark, small_session_inputs):
+        # one rule map for sessions over different tables: ψ's address is
+        # no column of lineorder, so its rules are another table's
+        psi = FD(("address",), "suppkey", name="psi")
+        sess = DaisySession(
+            spark, {"lineorder": small_session_inputs},
+            {"lineorder": [PHI], "supplier": [psi]}, use_cost_model=False,
+        )
+        assert sess.fd_rules == {"lineorder": [PHI]}
+
+    def test_misspelled_relax_mode(self, spark, small_session_inputs):
+        with pytest.raises(ValueError, match="'closur'"):
+            _fresh(spark, small_session_inputs, relax_mode="closur")
+
+
 class TestNullLhsGroup:
     """A violating group with a null lhs is never repaired, so it is not counted."""
 

@@ -33,11 +33,12 @@ PSI = FD(("address",), "suppkey", name="psi")
 PRICE_DC = DC((Atom("extendedprice", "<"), Atom("discount", ">")), name="dc")
 
 #: jobs of the queries below: a two-round lhs query that repairs (its
-#: detection checkpoint also counts the dirty and changed rows), then the
+#: detection checkpoint also counts the dirty rows; 11 while detection
+#: counted each group's rows in the region against its size), then the
 #: same query again.  The first region holds every violating group, so the
 #: table is fully cleaned and the repeat runs no job (3 while it still ran
 #: two relaxation rounds and the region count)
-JOBS = {"repairs": 11, "repeat": 0}
+JOBS = {"repairs": 9, "repeat": 0}
 #: jobs of a lineorder ⋈ supplier join over the whole suppkey domain after the
 #: repairing query, answer included: lineorder is fully cleaned and the
 #: rule-free supplier is not counted, so only the answer runs (8 while the
@@ -46,8 +47,9 @@ JOBS = {"repairs": 11, "repeat": 0}
 JOIN_JOBS = 4
 #: jobs of a fresh session's unfiltered query on that table: its answer is
 #: the whole table, so it is the region and no relaxation round runs (11
-#: while an unfiltered input still ran its two Lemma rounds)
-UNFILTERED_JOBS = 9
+#: while an unfiltered input still ran its two Lemma rounds, 9 while
+#: detection counted each group's rows in the region against its size)
+UNFILTERED_JOBS = 7
 #: jobs of a full clean after the repairing query, which leaves nothing to
 #: clean: the update's checkpoint of an empty delta (4 while the repairing
 #: query left the table marked not cleaned)
@@ -60,8 +62,9 @@ FULL_CLEAN_PASS_JOBS = 4
 #: jobs of a fresh session's join of that orderkey range with the whole
 #: supplier table under ψ, answer included: the supplier input is
 #: unfiltered, so its region is the whole table (27 while it ran two Lemma
-#: rounds, 25 while the answer de-duplicated its pairs in a shuffle)
-RULED_RIGHT_JOIN_JOBS = 24
+#: rounds, 25 while the answer de-duplicated its pairs in a shuffle, 24
+#: while detection counted each group's rows in the region against its size)
+RULED_RIGHT_JOIN_JOBS = 20
 #: jobs of an SP query on a fully cleaned table, answer count included:
 #: the answer's count only (4 while the input still ran a relaxation round
 #: and the region count)

@@ -92,7 +92,7 @@ class TestCleanSigmaTwoRules:
 
         region, iters = answer, 0
         for fd in fds:
-            pred, it = relax.relax_fd(d, answer, fd, filter_side=filter_side(fd, filters))
+            pred, it, _whole = relax.relax_fd(d, answer, fd, filter_side=filter_side(fd, filters))
             region, iters = region.unionByName(d.where(pred)), max(iters, it)
         region = region.dropDuplicates([TID]).localCheckpoint(eager=True)
         dirty = set()

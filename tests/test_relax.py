@@ -15,7 +15,7 @@ def _tids(df):
 
 def _relax(d, A, fd, **kw):
     """``relax_fd`` with its region as the extras: the region's tuples outside ``A``."""
-    region, iters = relax.relax_fd(d, A, fd, **kw)
+    region, iters, _whole = relax.relax_fd(d, A, fd, **kw)
     return d.where(region).join(A.select(TID), TID, "left_anti"), iters
 
 
@@ -189,3 +189,73 @@ class TestOracleRounds:
         extra, iters = _relax(d, d.where(F.col(TID) == 0), FD(("k",), "s"), max_iter=0)
         assert (_tids(extra), iters) == _algorithm1_sql(pdf, "tid = 0", "k", "s", 0)
         assert iters == 6
+
+
+def _last_lhs_set(pdf, cur, fd, rounds):
+    """The lhs values Algorithm 1's last round matches, in pandas.
+
+    Region 0 is the answer ``cur`` (a row mask); region ``k`` is every row
+    sharing an lhs or rhs value with region ``k-1``.  A budget of
+    ``rounds`` matches region ``rounds - 1``'s set; ``rounds=None`` the
+    fixpoint region's.
+    """
+    lhs, rhs = fd.lhs[0], fd.rhs
+    k = 1
+    while True:
+        if k == rounds:
+            return set(pdf.loc[cur, lhs])
+        nxt = pdf[lhs].isin(pdf.loc[cur, lhs]) | pdf[rhs].isin(pdf.loc[cur, rhs])
+        if rounds is None and nxt.equals(cur):
+            return set(pdf.loc[cur, lhs])
+        cur, k = nxt, k + 1
+
+
+class TestWholeGroups:
+    """``whole`` matches exactly the last lhs set, and every group it keys lies in the region.
+
+    On fresh data an lhs or rhs filter's last round adds no row outside
+    ``whole``; a filter on neither side does (``partkey == 1814``: 564
+    region rows, 371 of them whole).
+    """
+
+    PHI = FD(("orderkey",), "suppkey", name="phi")
+    CHI = FD(("custkey",), "suppkey", name="chi")
+
+    @staticmethod
+    def _check(pdf, d, region, whole, fd, last_set):
+        lhs = fd.lhs[0]
+        whole_tids = set(_tids(d.where(whole)))
+        assert whole_tids == set(pdf.index[pdf[lhs].isin(last_set)])
+        groups = pdf.index[pdf[lhs].isin(pdf.loc[sorted(whole_tids), lhs])]
+        assert set(groups) <= set(_tids(d.where(region)))
+
+    @pytest.mark.parametrize(
+        "where,kw,rounds",
+        [
+            ("orderkey <= 10", {"filter_side": "lhs"}, 2),
+            ("suppkey == 3", {"filter_side": "rhs"}, 1),
+            ("partkey == 1814", {"filter_side": None}, 2),
+            ("orderkey == 1", {"max_iter": 0}, None),
+        ],
+    )
+    def test_relax_fd(self, spark, ssb_small, where, kw, rounds):
+        _, dirty, _ = ssb_small
+        pdf = dirty.reset_index(drop=True)
+        d = prob.spark_with_tid(spark, pdf)
+        region, _iters, whole = relax.relax_fd(d, d.where(where), self.PHI, **kw)
+        last = _last_lhs_set(pdf, pdf.eval(where), self.PHI, rounds)
+        self._check(pdf, d, region, whole, self.PHI, last)
+
+    def test_whole_groups(self, spark, ssb_small):
+        _, dirty, _ = ssb_small
+        pdf = dirty.reset_index(drop=True)
+        d = prob.spark_with_tid(spark, pdf)
+        where = "orderkey <= 10"
+        relaxed = F.expr(where)
+        for fd, side in ((self.PHI, "lhs"), (self.CHI, None)):
+            pred, _iters, _whole = relax.relax_fd(d, d.where(where), fd, filter_side=side)
+            relaxed = relaxed | pred
+        region, whole = relax.whole_groups(d, relaxed, [self.PHI, self.CHI])
+        seen = pdf.loc[_tids(d.where(relaxed))]
+        for fd, w in zip((self.PHI, self.CHI), whole):
+            self._check(pdf, d, region, w, fd, set(seen[fd.lhs[0]]))
